@@ -116,10 +116,14 @@ class TestPerfSmoke:
         # bit-identical at every thread count.
         assert entry["samples_identical_across_threads"]
         assert set(entry["threads"]) == {"1", "2", "4"}
-        if entry["cpu_cores"] < 2 or not entry["openmp_enabled"]:
-            # Single-core boxes (and thread-less builds) record the curve
-            # but cannot assert a throughput win — the full-scale >1.5x bar
-            # is enforced on the multi-core CI ``threads`` entry instead.
+        if (entry["cpu_cores"] < 2 or not entry["openmp_enabled"]
+                or entry["effective_parallelism"] < 1.9):
+            # Boxes without two cores' worth of real parallelism (single
+            # cores, and shared vCPUs that deliver less than 1.9 on the
+            # calibrated two-process burn) and thread-less builds record
+            # the curve but cannot assert a throughput win — the
+            # full-scale >1.5x bar is enforced on the multi-core CI
+            # ``threads`` entry instead.
             return
         # Multi-core: 4 threads must beat the serial counter time.  Quick
         # sizes are small and single-shot, so the smoke bar is only "threads

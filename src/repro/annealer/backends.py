@@ -22,14 +22,18 @@ those inner loops behind a ``backend=`` seam:
 * ``"auto"`` — ``numba`` when importable, else ``cext`` when a working C
   compiler is found, else ``numpy``.
 
+Every compiled sweep is a *pack* kernel: one call evolves every block of a
+pack (structurally identical problems laid out block-diagonally, e.g. the
+jobs of a C-RAN serving pack) through the whole schedule, running a
+single-spin sweep and then a cluster-flip sweep at every temperature.
+There is one kernel per sweep shape and draw discipline:
+:func:`pack_fused_dense_cluster_sweep`,
+:func:`pack_fused_colour_cluster_sweep` and their ``counter_`` siblings.
 Cluster moves travel across the compiled boundary as a flattened
 :class:`ClusterDescriptor` — member/column/internal-edge CSR-style arrays
-built once per anneal by the engine — and run either standalone
-(:func:`cluster_sweep`) or fused with the single-spin kernels
-(:func:`fused_dense_cluster_sweep` / :func:`fused_colour_cluster_sweep`),
-one compiled call per block for the *whole* schedule.  That is what lets
-multi-block serving packs with chains (the C-RAN workload) run compiled end
-to end instead of falling back to the block-vectorised NumPy loops.
+built once per anneal by the engine.  A single problem is a pack of one
+block and a problem without chains is a pack with zero clusters (the empty
+descriptor), so neither shape needs a kernel of its own.
 
 Draw-stream discipline
 ----------------------
@@ -217,11 +221,11 @@ def resolve_backend(backend: str) -> str:
 def warmup(backend: str, rng: str = "sequential") -> None:
     """Force the backend's one-time compile cost now, once per process.
 
-    For ``numba`` this JIT-compiles every sweep kernel (dense, colour,
-    cluster and the fused variants) on toy inputs; for
-    ``cext`` it compiles (or dlopens the cached) shared object.  Samplers
-    call this at construction, so first-anneal timings never include
-    compilation.  No-op for ``numpy``/already-warm backends.
+    For ``numba`` this JIT-compiles both pack kernels of the draw
+    discipline on toy inputs; for ``cext`` it compiles (or dlopens the
+    cached) shared object.  Samplers call this at construction, so
+    first-anneal timings never include compilation.  No-op for
+    ``numpy``/already-warm backends.
 
     The two draw disciplines compile separate kernel sets, so they warm
     separately: ``rng="counter"`` warms the counter/threaded kernels and
@@ -232,204 +236,71 @@ def warmup(backend: str, rng: str = "sequential") -> None:
     token = f"{backend}:{rng}"
     if token in _WARMED or backend == "numpy":
         return
-    if rng == "counter":
-        with PROFILER.phase("backend.warmup", backend, rng):
-            _warmup_counter(backend)
-        _WARMED.add(token)
-        return
-    with PROFILER.phase("backend.warmup", backend):
-        spins = np.ones((2, 2))
-        fields = spins.copy()
-        matrix = np.zeros((2, 2))
-        order = np.arange(2, dtype=np.int64)
-        temperatures = np.array([1.0])
-        rng = np.random.default_rng(0)
-        dense_sweep(backend, spins, fields, matrix, order, temperatures, rng)
-        members = np.arange(2, dtype=np.int64)
-        class_starts = np.array([0, 1, 2], dtype=np.int64)
-        data = np.zeros(0)
-        indices = np.zeros(0, dtype=np.int64)
-        indptr = np.zeros(3, dtype=np.int64)
-        scratch = np.empty((2, 1))
-        colour_sweep(backend, spins, np.zeros(2), members, class_starts,
-                     data, indices, indptr, scratch, temperatures, rng)
-        clusters = ClusterDescriptor(
-            members=members, cluster_starts=np.array([0, 2], dtype=np.int64),
-            data=data, indices=indices, indptr=indptr,
-            edge_i=np.zeros(0, dtype=np.int64),
-            edge_j=np.zeros(0, dtype=np.int64),
-            edge_starts=np.zeros(2, dtype=np.int64),
-            edge_values=np.zeros(0))
-        cluster_sweep(backend, spins, np.zeros(2), clusters, temperatures, rng)
-        fused_dense_cluster_sweep(backend, spins, fields, matrix, order,
-                                  np.zeros(2), clusters, temperatures, rng)
-        fused_colour_cluster_sweep(backend, spins, np.zeros(2), members,
-                                   class_starts, data, indices, indptr,
-                                   scratch, clusters, temperatures, rng)
-        # The engine's multi-block paths pass non-contiguous column slices;
-        # warm those array layouts too, or numba would JIT a second
-        # specialization inside the first timed multi-block anneal.
-        combined = np.ones((2, 4))
-        view = combined[:, 1:3]
-        fields_view = combined.copy()[:, 1:3]
-        dense_sweep(backend, view, fields_view, matrix, order, temperatures,
-                    rng)
-        colour_sweep(backend, view, np.zeros(2), members, class_starts,
-                     data, indices, indptr, scratch, temperatures, rng)
-        cluster_sweep(backend, view, np.zeros(2), clusters, temperatures, rng)
-        fused_dense_cluster_sweep(backend, view, fields_view, matrix, order,
-                                  np.zeros(2), clusters, temperatures, rng)
-        fused_colour_cluster_sweep(backend, view, np.zeros(2), members,
-                                   class_starts, data, indices, indptr,
-                                   scratch, clusters, temperatures, rng)
+    labels = (backend, rng) if rng == "counter" else (backend,)
+    with PROFILER.phase("backend.warmup", *labels):
+        # A one-block pack hands numba contiguous block views; a two-block
+        # pack hands it the non-contiguous column slices it specialises
+        # separately, which would otherwise JIT inside the first timed
+        # multi-block anneal.
+        for blocks in (1, 2):
+            _warm_pack(backend, rng, blocks)
     _WARMED.add(token)
 
 
-def _warmup_counter(backend: str) -> None:
-    """Exercise every counter-mode kernel (and array layout) on toy inputs."""
-    spins = np.ones((2, 2))
+def _warm_pack(backend: str, rng: str, blocks: int) -> None:
+    """Run both pack kernels of one draw discipline on a toy pack."""
+    spins = np.ones((2, 2 * blocks))
     fields = spins.copy()
-    matrix = np.zeros((2, 2))
-    order = np.arange(2, dtype=np.int64)
-    temperatures = np.array([1.0])
-    counter_dense_sweep(backend, spins, fields, matrix, order, temperatures,
-                        key=1, threads=1)
+    matrices = np.zeros((blocks, 2, 2))
+    linear = np.zeros(2 * blocks)
     members = np.arange(2, dtype=np.int64)
     class_starts = np.array([0, 1, 2], dtype=np.int64)
-    data = np.zeros(0)
+    class_data = np.zeros((blocks, 0))
     indices = np.zeros(0, dtype=np.int64)
     indptr = np.zeros(3, dtype=np.int64)
-    counter_colour_sweep(backend, spins, np.zeros(2), members, class_starts,
-                         data, indices, indptr, temperatures, key=1,
-                         threads=1)
-    # Pack kernels carry stacked (num_blocks, ...) value arrays.
-    pack = ClusterDescriptor(
+    clusters = ClusterDescriptor(
         members=members, cluster_starts=np.array([0, 2], dtype=np.int64),
-        data=np.zeros((1, 0)), indices=indices, indptr=indptr,
+        data=np.zeros((blocks, 0)), indices=indices, indptr=indptr,
         edge_i=np.zeros(0, dtype=np.int64),
         edge_j=np.zeros(0, dtype=np.int64),
         edge_starts=np.zeros(2, dtype=np.int64),
-        edge_values=np.zeros((1, 0)))
-    keys = np.array([1], dtype=np.uint64)
-    counter_pack_fused_dense_cluster_sweep(
-        backend, spins.copy(), fields.copy(), matrix[None, :, :], order,
-        np.zeros(2), pack, temperatures, keys, threads=1)
-    counter_pack_fused_colour_cluster_sweep(
-        backend, spins.copy(), np.zeros(2), members, class_starts,
-        np.zeros((1, 0)), indices, indptr, pack, temperatures, keys,
-        threads=1)
-    # The engine's multi-block dense path passes non-contiguous column
-    # slices; warm that layout too for the JIT backend.
-    combined = np.ones((2, 4))
-    view = combined[:, 1:3]
-    fields_view = combined.copy()[:, 1:3]
-    counter_dense_sweep(backend, view, fields_view, matrix, order,
-                        temperatures, key=1, threads=1)
-    counter_colour_sweep(backend, view, np.zeros(2), members, class_starts,
-                         data, indices, indptr, temperatures, key=1,
-                         threads=1)
+        edge_values=np.zeros((blocks, 0)))
+    temperatures = np.array([1.0])
+    if rng == "counter":
+        keys = np.arange(1, blocks + 1, dtype=np.uint64)
+        counter_pack_fused_dense_cluster_sweep(
+            backend, spins, fields, matrices, members, linear, clusters,
+            temperatures, keys)
+        counter_pack_fused_colour_cluster_sweep(
+            backend, spins, linear, members, class_starts, class_data,
+            indices, indptr, clusters, temperatures, keys)
+        return
+    rngs = [np.random.default_rng(b) for b in range(blocks)]
+    pack_fused_dense_cluster_sweep(backend, spins, fields, matrices, members,
+                                   linear, clusters, temperatures, rngs)
+    pack_fused_colour_cluster_sweep(backend, spins, linear, members,
+                                    class_starts, class_data, indices, indptr,
+                                    np.empty((2, 1)), clusters, temperatures,
+                                    rngs)
 
 
 # --------------------------------------------------------------------------- #
 # Kernel entry points (dispatch by backend)
 # --------------------------------------------------------------------------- #
 
-def dense_sweep(backend: str, spins: np.ndarray, fields: np.ndarray,
-                matrix: np.ndarray, order: np.ndarray,
-                temperatures: np.ndarray, rng: np.random.Generator) -> None:
-    """Run sequential-sweep Metropolis over one block with a compiled kernel.
-
-    ``spins`` and ``fields`` are ``(R, P)`` float64 views (rows may be
-    strided — e.g. one block's columns of a combined multi-block matrix) that
-    are updated in place; ``matrix`` is the dense ``(P, P)`` block coupling;
-    ``order`` the variable visit order; one full sweep of every variable is
-    performed per entry of ``temperatures``.  Draws come from *rng* in
-    exactly the reference loop's order.
-    """
-    if backend == "numba":
-        kernels = _ensure_numba_kernels()
-        kernels["dense"](spins, fields, matrix, order,
-                         np.ascontiguousarray(temperatures, dtype=np.float64),
-                         rng)
-        return
-    if backend == "cext":
-        lib = _load_cext()
-        matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-        order = np.ascontiguousarray(order, dtype=np.int64)
-        temperatures = np.ascontiguousarray(temperatures, dtype=np.float64)
-        sp, sld = _row_strided(spins)
-        fp, fld = _row_strided(fields)
-        fn, state = _rng_pointers(rng)
-        lib.dense_sweep(
-            sp, sld, fp, fld,
-            matrix.ctypes.data_as(ctypes.c_void_p),
-            order.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(order.size),
-            temperatures.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(temperatures.size),
-            ctypes.c_int64(spins.shape[0]), ctypes.c_int64(spins.shape[1]),
-            fn, state)
-        return
-    raise AnnealerError(f"no compiled dense kernel for backend {backend!r}")
-
-
-def colour_sweep(backend: str, spins: np.ndarray, linear: np.ndarray,
-                 members: np.ndarray, class_starts: np.ndarray,
-                 data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
-                 scratch: np.ndarray, temperatures: np.ndarray,
-                 rng: np.random.Generator) -> None:
-    """Run colour-class Metropolis sweeps over one block, compiled.
-
-    ``spins`` is an ``(R, P)`` float64 view updated in place; ``members`` /
-    ``class_starts`` describe the ragged colour classes (block-level variable
-    indices, concatenated in class order); ``data``/``indices``/``indptr``
-    are the CSR arrays of the stacked per-class local-field operators (row
-    ``k`` maps block spins to the field of ``members[k]``); ``scratch`` is an
-    ``(R, max_class_width)`` float64 workspace.  One sweep over all classes
-    runs per entry of ``temperatures``, drawing from *rng* in exactly the
-    reference loop's (replica-major) order.
-    """
-    if backend == "numba":
-        kernels = _ensure_numba_kernels()
-        kernels["colour"](spins, linear, members, class_starts, data, indices,
-                          indptr, scratch,
-                          np.ascontiguousarray(temperatures,
-                                               dtype=np.float64),
-                          rng)
-        return
-    if backend == "cext":
-        lib = _load_cext()
-        sp, sld = _row_strided(spins)
-        fn, state = _rng_pointers(rng)
-        temperatures = np.ascontiguousarray(temperatures, dtype=np.float64)
-        lib.colour_sweep(
-            sp, sld,
-            ctypes.c_int64(spins.shape[0]),
-            linear.ctypes.data_as(ctypes.c_void_p),
-            members.ctypes.data_as(ctypes.c_void_p),
-            class_starts.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(class_starts.size - 1),
-            data.ctypes.data_as(ctypes.c_void_p),
-            indices.ctypes.data_as(ctypes.c_void_p),
-            indptr.ctypes.data_as(ctypes.c_void_p),
-            scratch.ctypes.data_as(ctypes.c_void_p),
-            temperatures.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(temperatures.size),
-            fn, state)
-        return
-    raise AnnealerError(f"no compiled colour kernel for backend {backend!r}")
-
-
 class ClusterDescriptor(NamedTuple):
-    """Flattened per-block cluster metadata handed across the compiled boundary.
+    """Flattened pack cluster metadata handed across the compiled boundary.
 
     Built once per anneal by the engine
-    (:meth:`~repro.annealer.engine.BlockDiagonalSampler._cluster_descriptors`)
+    (:meth:`~repro.annealer.engine.BlockDiagonalSampler._cluster_pack_descriptor`)
     from the live coupling matrix, so samplers rebound through
-    ``refresh_values`` always sweep the current values.  All arrays are
-    *block-level*: member and edge indices address one block's ``(R, P)``
-    spin view, and ``data``/``edge_values`` carry that block's coupling
-    values (structure arrays are shared between the blocks of a pack).
+    ``refresh_values`` always sweep the current values.  The structure
+    arrays are *block-level* and shared by every block of the pack: member
+    and edge indices address one block's ``(R, P)`` spin view.  ``data``
+    and ``edge_values`` stack every block's coupling values as
+    ``(blocks, nnz)`` / ``(blocks, E)`` rows.  A problem without chains is
+    the empty descriptor: no members, ``cluster_starts == [0]`` and
+    ``(blocks, 0)`` value matrices.
     """
 
     #: Cluster members, cluster-major: ``members[cluster_starts[c]:
@@ -437,9 +308,10 @@ class ClusterDescriptor(NamedTuple):
     members: np.ndarray
     #: Ragged cluster delimiters, ``int64[C+1]``.
     cluster_starts: np.ndarray
-    #: CSR triple of the stacked member local-field rows: row ``k`` maps the
+    #: CSR triple of the stacked member local-field rows: row ``k`` maps a
     #: block's spins to the coupling field of ``members[k]`` (same values, in
-    #: the same ascending-column order, as the reference cluster operators).
+    #: the same ascending-column order, as the reference cluster operators);
+    #: ``data`` row ``b`` holds block ``b``'s values.
     data: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
@@ -450,7 +322,7 @@ class ClusterDescriptor(NamedTuple):
     edge_i: np.ndarray
     edge_j: np.ndarray
     edge_starts: np.ndarray
-    #: This block's coupling value of every internal edge.
+    #: Every block's coupling value of every internal edge, ``(blocks, E)``.
     edge_values: np.ndarray
 
 
@@ -463,149 +335,13 @@ def _cluster_ctypes_args(clusters: ClusterDescriptor) -> list:
         clusters.data.ctypes.data_as(ctypes.c_void_p),
         clusters.indices.ctypes.data_as(ctypes.c_void_p),
         clusters.indptr.ctypes.data_as(ctypes.c_void_p),
+        ctypes.c_int64(clusters.data.shape[1]),
         clusters.edge_i.ctypes.data_as(ctypes.c_void_p),
         clusters.edge_j.ctypes.data_as(ctypes.c_void_p),
         clusters.edge_starts.ctypes.data_as(ctypes.c_void_p),
         clusters.edge_values.ctypes.data_as(ctypes.c_void_p),
+        ctypes.c_int64(clusters.edge_values.shape[1]),
     ]
-
-
-def cluster_sweep(backend: str, spins: np.ndarray, linear: np.ndarray,
-                  clusters: ClusterDescriptor, temperatures: np.ndarray,
-                  rng: np.random.Generator) -> None:
-    """Run cluster-flip Metropolis sweeps over one block, compiled.
-
-    ``spins`` is an ``(R, P)`` float64 view updated in place; one sweep
-    offering every cluster of *clusters* a collective flip runs per entry of
-    ``temperatures``.  Uphill draws come from *rng* one uniform per uphill
-    replica in ascending replica order, cluster-major — exactly the
-    reference loop's ``rng.random(count)`` stream.
-    """
-    if backend == "numba":
-        kernels = _ensure_numba_kernels()
-        kernels["cluster"](spins, linear, clusters.members,
-                           clusters.cluster_starts, clusters.data,
-                           clusters.indices, clusters.indptr,
-                           clusters.edge_i, clusters.edge_j,
-                           clusters.edge_starts, clusters.edge_values,
-                           np.ascontiguousarray(temperatures,
-                                                dtype=np.float64),
-                           rng)
-        return
-    if backend == "cext":
-        lib = _load_cext()
-        sp, sld = _row_strided(spins)
-        fn, state = _rng_pointers(rng)
-        temperatures = np.ascontiguousarray(temperatures, dtype=np.float64)
-        lib.cluster_sweep(
-            sp, sld, ctypes.c_int64(spins.shape[0]),
-            linear.ctypes.data_as(ctypes.c_void_p),
-            *_cluster_ctypes_args(clusters),
-            temperatures.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(temperatures.size),
-            fn, state)
-        return
-    raise AnnealerError(f"no compiled cluster kernel for backend {backend!r}")
-
-
-def fused_dense_cluster_sweep(backend: str, spins: np.ndarray,
-                              fields: np.ndarray, matrix: np.ndarray,
-                              order: np.ndarray, linear: np.ndarray,
-                              clusters: ClusterDescriptor,
-                              temperatures: np.ndarray,
-                              rng: np.random.Generator) -> None:
-    """Dense sequential sweep + cluster-flip sweep, fused per temperature.
-
-    One compiled call evolves one block through the whole schedule: for
-    every entry of ``temperatures`` a full dense sequential sweep runs
-    first (as :func:`dense_sweep`), then every cluster is offered a
-    collective flip.  Accepted cluster flips update the block's
-    local-field matrix *incrementally* (``fields[r, :] += sum_m (-2 s_m)
-    J[m, :]``), so the field matrix is never recomputed.  The per-block
-    draw stream is exactly the reference loops' (dense draws, then cluster
-    draws, per sweep).
-    """
-    if backend == "numba":
-        kernels = _ensure_numba_kernels()
-        kernels["fused_dense"](
-            spins, fields, matrix, order, linear, clusters.members,
-            clusters.cluster_starts, clusters.data, clusters.indices,
-            clusters.indptr, clusters.edge_i, clusters.edge_j,
-            clusters.edge_starts, clusters.edge_values,
-            np.ascontiguousarray(temperatures, dtype=np.float64), rng)
-        return
-    if backend == "cext":
-        lib = _load_cext()
-        matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-        order = np.ascontiguousarray(order, dtype=np.int64)
-        temperatures = np.ascontiguousarray(temperatures, dtype=np.float64)
-        sp, sld = _row_strided(spins)
-        fp, fld = _row_strided(fields)
-        fn, state = _rng_pointers(rng)
-        lib.fused_dense_cluster_sweep(
-            sp, sld, fp, fld,
-            matrix.ctypes.data_as(ctypes.c_void_p),
-            order.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(order.size),
-            linear.ctypes.data_as(ctypes.c_void_p),
-            *_cluster_ctypes_args(clusters),
-            temperatures.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(temperatures.size),
-            ctypes.c_int64(spins.shape[0]), ctypes.c_int64(spins.shape[1]),
-            fn, state)
-        return
-    raise AnnealerError(
-        f"no fused dense+cluster kernel for backend {backend!r}")
-
-
-def fused_colour_cluster_sweep(backend: str, spins: np.ndarray,
-                               linear: np.ndarray, members: np.ndarray,
-                               class_starts: np.ndarray, data: np.ndarray,
-                               indices: np.ndarray, indptr: np.ndarray,
-                               scratch: np.ndarray,
-                               clusters: ClusterDescriptor,
-                               temperatures: np.ndarray,
-                               rng: np.random.Generator) -> None:
-    """Colour-class sweep + cluster-flip sweep, fused per temperature.
-
-    The embedded-problem serving shape: for every entry of ``temperatures``
-    a full colour-class sweep runs first (as :func:`colour_sweep`), then the
-    cluster-flip sweep.  One compiled call per block covers the whole
-    schedule, which is what lets multi-block serving packs with chains stay
-    compiled instead of paying one dispatch per (block, sweep).
-    """
-    if backend == "numba":
-        kernels = _ensure_numba_kernels()
-        kernels["fused_colour"](
-            spins, linear, members, class_starts, data, indices, indptr,
-            scratch, clusters.members, clusters.cluster_starts,
-            clusters.data, clusters.indices, clusters.indptr,
-            clusters.edge_i, clusters.edge_j, clusters.edge_starts,
-            clusters.edge_values,
-            np.ascontiguousarray(temperatures, dtype=np.float64), rng)
-        return
-    if backend == "cext":
-        lib = _load_cext()
-        sp, sld = _row_strided(spins)
-        fn, state = _rng_pointers(rng)
-        temperatures = np.ascontiguousarray(temperatures, dtype=np.float64)
-        lib.fused_colour_cluster_sweep(
-            sp, sld, ctypes.c_int64(spins.shape[0]),
-            linear.ctypes.data_as(ctypes.c_void_p),
-            members.ctypes.data_as(ctypes.c_void_p),
-            class_starts.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(class_starts.size - 1),
-            data.ctypes.data_as(ctypes.c_void_p),
-            indices.ctypes.data_as(ctypes.c_void_p),
-            indptr.ctypes.data_as(ctypes.c_void_p),
-            scratch.ctypes.data_as(ctypes.c_void_p),
-            *_cluster_ctypes_args(clusters),
-            temperatures.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(temperatures.size),
-            fn, state)
-        return
-    raise AnnealerError(
-        f"no fused colour+cluster kernel for backend {backend!r}")
 
 
 def _rng_pointer_arrays(rngs) -> Tuple[object, object]:
@@ -627,7 +363,7 @@ def pack_fused_colour_cluster_sweep(backend: str, spins: np.ndarray,
                                     scratch: np.ndarray,
                                     clusters: ClusterDescriptor,
                                     temperatures: np.ndarray, rngs) -> None:
-    """Whole-schedule fused colour+cluster sweeps over a multi-block pack.
+    """Whole-schedule fused colour+cluster sweeps over a pack.
 
     One dispatch per pack per anneal: ``spins`` is the combined
     ``(R, blocks*P)`` matrix, ``linear`` the combined block-major field
@@ -636,9 +372,9 @@ def pack_fused_colour_cluster_sweep(backend: str, spins: np.ndarray,
     descriptor's ``data`` / ``edge_values`` are the ``(blocks, nnz)`` /
     ``(blocks, E)`` block-major value matrices (all blocks of a pack share
     one sparsity structure).  Each block consumes its own generator from
-    *rngs* exactly as a one-block fused call would, so the pack is
-    bit-for-bit the per-block serial anneals with the call marshalling paid
-    once per pack instead of once per block.
+    *rngs* exactly as the reference loops do, so the pack is bit-for-bit
+    the per-block serial anneals with the call marshalling paid once per
+    pack instead of once per block.
     """
     num_blocks = len(rngs)
     size = spins.shape[1] // num_blocks
@@ -672,18 +408,7 @@ def pack_fused_colour_cluster_sweep(backend: str, spins: np.ndarray,
             indptr.ctypes.data_as(ctypes.c_void_p),
             ctypes.c_int64(class_data.shape[1]),
             scratch.ctypes.data_as(ctypes.c_void_p),
-            clusters.members.ctypes.data_as(ctypes.c_void_p),
-            clusters.cluster_starts.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(clusters.cluster_starts.size - 1),
-            clusters.data.ctypes.data_as(ctypes.c_void_p),
-            clusters.indices.ctypes.data_as(ctypes.c_void_p),
-            clusters.indptr.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(clusters.data.shape[1]),
-            clusters.edge_i.ctypes.data_as(ctypes.c_void_p),
-            clusters.edge_j.ctypes.data_as(ctypes.c_void_p),
-            clusters.edge_starts.ctypes.data_as(ctypes.c_void_p),
-            clusters.edge_values.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(clusters.edge_values.shape[1]),
+            *_cluster_ctypes_args(clusters),
             temperatures.ctypes.data_as(ctypes.c_void_p),
             ctypes.c_int64(temperatures.size),
             fns, states)
@@ -697,7 +422,7 @@ def pack_fused_dense_cluster_sweep(backend: str, spins: np.ndarray,
                                    order: np.ndarray, linear: np.ndarray,
                                    clusters: ClusterDescriptor,
                                    temperatures: np.ndarray, rngs) -> None:
-    """Whole-schedule fused dense+cluster sweeps over a multi-block pack.
+    """Whole-schedule fused dense+cluster sweeps over a pack.
 
     The dense-kernel sibling of :func:`pack_fused_colour_cluster_sweep`:
     ``matrices`` is the ``(blocks, P, P)`` C-contiguous stack of per-block
@@ -735,18 +460,7 @@ def pack_fused_dense_cluster_sweep(backend: str, spins: np.ndarray,
             ctypes.c_int64(spins.shape[0]), ctypes.c_int64(num_blocks),
             ctypes.c_int64(size),
             linear.ctypes.data_as(ctypes.c_void_p),
-            clusters.members.ctypes.data_as(ctypes.c_void_p),
-            clusters.cluster_starts.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(clusters.cluster_starts.size - 1),
-            clusters.data.ctypes.data_as(ctypes.c_void_p),
-            clusters.indices.ctypes.data_as(ctypes.c_void_p),
-            clusters.indptr.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(clusters.data.shape[1]),
-            clusters.edge_i.ctypes.data_as(ctypes.c_void_p),
-            clusters.edge_j.ctypes.data_as(ctypes.c_void_p),
-            clusters.edge_starts.ctypes.data_as(ctypes.c_void_p),
-            clusters.edge_values.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(clusters.edge_values.shape[1]),
+            *_cluster_ctypes_args(clusters),
             temperatures.ctypes.data_as(ctypes.c_void_p),
             ctypes.c_int64(temperatures.size),
             fns, states)
@@ -907,114 +621,12 @@ def _run_numba_threaded(threads: int, kernel, *args) -> None:
         numba.set_num_threads(previous)
 
 
-def counter_dense_sweep(backend: str, spins: np.ndarray, fields: np.ndarray,
-                        matrix: np.ndarray, order: np.ndarray,
-                        temperatures: np.ndarray, key: int,
-                        threads: int = 1) -> None:
-    """Counter-mode dense sequential sweeps over one block.
-
-    The counter sibling of :func:`dense_sweep`: same arrays and dynamics,
-    but uphill uniforms come from Philox at ``(visit position, sweep,
-    replica, TAG_SWEEP)`` under *key*, so replicas are independent and the
-    compiled backends may evolve them across *threads* workers.  Every
-    backend (and every thread count) produces bit-identical trajectories.
-    """
-    threads = max(1, int(threads))
-    if backend == "numpy":
-        replicas = np.arange(spins.shape[0], dtype=np.uint32)
-        for t in range(len(temperatures)):
-            _counter_dense_pass_numpy(spins, fields, matrix, order,
-                                      temperatures[t], t, replicas, key)
-        return
-    if backend == "numba":
-        kernels = _ensure_numba_counter_kernels()
-        _run_numba_threaded(
-            threads, kernels["dense"], spins, fields,
-            np.ascontiguousarray(matrix, dtype=np.float64),
-            np.ascontiguousarray(order, dtype=np.int64),
-            np.ascontiguousarray(temperatures, dtype=np.float64),
-            np.uint64(key))
-        return
-    if backend == "cext":
-        lib = _load_cext()
-        _note_openmp_team(threads)
-        matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-        order = np.ascontiguousarray(order, dtype=np.int64)
-        temperatures = np.ascontiguousarray(temperatures, dtype=np.float64)
-        sp, sld = _row_strided(spins)
-        fp, fld = _row_strided(fields)
-        lib.counter_dense_sweep(
-            sp, sld, fp, fld,
-            matrix.ctypes.data_as(ctypes.c_void_p),
-            order.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(order.size),
-            temperatures.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(temperatures.size),
-            ctypes.c_int64(spins.shape[0]), ctypes.c_int64(spins.shape[1]),
-            ctypes.c_uint64(int(key)), ctypes.c_int64(threads))
-        return
-    raise AnnealerError(
-        f"no counter dense kernel for backend {backend!r}")
-
-
-def counter_colour_sweep(backend: str, spins: np.ndarray, linear: np.ndarray,
-                         members: np.ndarray, class_starts: np.ndarray,
-                         data: np.ndarray, indices: np.ndarray,
-                         indptr: np.ndarray, temperatures: np.ndarray,
-                         key: int, threads: int = 1) -> None:
-    """Counter-mode colour-class sweeps over one block.
-
-    The counter sibling of :func:`colour_sweep` (no scratch needed: the
-    per-replica kernels compute member fields on the fly, which is bitwise
-    identical to the precompute because colour-class members never
-    interact).  The draw site is the member's row in the concatenated
-    class order.
-    """
-    threads = max(1, int(threads))
-    if backend == "numpy":
-        replicas = np.arange(spins.shape[0], dtype=np.uint32)
-        operators = _counter_class_operators(class_starts, data, indices,
-                                             indptr, spins.shape[1])
-        for t in range(len(temperatures)):
-            _counter_colour_pass_numpy(spins, linear, members, operators,
-                                       temperatures[t], t, replicas, key)
-        return
-    if backend == "numba":
-        kernels = _ensure_numba_counter_kernels()
-        _run_numba_threaded(
-            threads, kernels["colour"], spins, linear, members, class_starts,
-            data, indices, indptr,
-            np.ascontiguousarray(temperatures, dtype=np.float64),
-            np.uint64(key))
-        return
-    if backend == "cext":
-        lib = _load_cext()
-        _note_openmp_team(threads)
-        sp, sld = _row_strided(spins)
-        temperatures = np.ascontiguousarray(temperatures, dtype=np.float64)
-        lib.counter_colour_sweep(
-            sp, sld, ctypes.c_int64(spins.shape[0]),
-            linear.ctypes.data_as(ctypes.c_void_p),
-            members.ctypes.data_as(ctypes.c_void_p),
-            class_starts.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(class_starts.size - 1),
-            data.ctypes.data_as(ctypes.c_void_p),
-            indices.ctypes.data_as(ctypes.c_void_p),
-            indptr.ctypes.data_as(ctypes.c_void_p),
-            temperatures.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(temperatures.size),
-            ctypes.c_uint64(int(key)), ctypes.c_int64(threads))
-        return
-    raise AnnealerError(
-        f"no counter colour kernel for backend {backend!r}")
-
-
 def counter_pack_fused_dense_cluster_sweep(
         backend: str, spins: np.ndarray, fields: np.ndarray,
         matrices: np.ndarray, order: np.ndarray, linear: np.ndarray,
         clusters: ClusterDescriptor, temperatures: np.ndarray, keys,
         threads: int = 1) -> None:
-    """Counter-mode fused dense+cluster sweeps over a multi-block pack.
+    """Counter-mode fused dense+cluster sweeps over a pack.
 
     The counter sibling of :func:`pack_fused_dense_cluster_sweep`: one
     Philox key per block instead of one generator per block, and the cext
@@ -1073,18 +685,7 @@ def counter_pack_fused_dense_cluster_sweep(
             ctypes.c_int64(spins.shape[0]), ctypes.c_int64(num_blocks),
             ctypes.c_int64(size),
             linear.ctypes.data_as(ctypes.c_void_p),
-            clusters.members.ctypes.data_as(ctypes.c_void_p),
-            clusters.cluster_starts.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(clusters.cluster_starts.size - 1),
-            clusters.data.ctypes.data_as(ctypes.c_void_p),
-            clusters.indices.ctypes.data_as(ctypes.c_void_p),
-            clusters.indptr.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(clusters.data.shape[1]),
-            clusters.edge_i.ctypes.data_as(ctypes.c_void_p),
-            clusters.edge_j.ctypes.data_as(ctypes.c_void_p),
-            clusters.edge_starts.ctypes.data_as(ctypes.c_void_p),
-            clusters.edge_values.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(clusters.edge_values.shape[1]),
+            *_cluster_ctypes_args(clusters),
             temperatures.ctypes.data_as(ctypes.c_void_p),
             ctypes.c_int64(temperatures.size),
             keys_array.ctypes.data_as(ctypes.c_void_p),
@@ -1100,7 +701,7 @@ def counter_pack_fused_colour_cluster_sweep(
         indices: np.ndarray, indptr: np.ndarray,
         clusters: ClusterDescriptor, temperatures: np.ndarray, keys,
         threads: int = 1) -> None:
-    """Counter-mode fused colour+cluster sweeps over a multi-block pack.
+    """Counter-mode fused colour+cluster sweeps over a pack.
 
     The counter sibling of :func:`pack_fused_colour_cluster_sweep` — the
     embedded serving shape under the counter contract, one Philox key per
@@ -1158,18 +759,7 @@ def counter_pack_fused_colour_cluster_sweep(
             indices.ctypes.data_as(ctypes.c_void_p),
             indptr.ctypes.data_as(ctypes.c_void_p),
             ctypes.c_int64(class_data.shape[1]),
-            clusters.members.ctypes.data_as(ctypes.c_void_p),
-            clusters.cluster_starts.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(clusters.cluster_starts.size - 1),
-            clusters.data.ctypes.data_as(ctypes.c_void_p),
-            clusters.indices.ctypes.data_as(ctypes.c_void_p),
-            clusters.indptr.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(clusters.data.shape[1]),
-            clusters.edge_i.ctypes.data_as(ctypes.c_void_p),
-            clusters.edge_j.ctypes.data_as(ctypes.c_void_p),
-            clusters.edge_starts.ctypes.data_as(ctypes.c_void_p),
-            clusters.edge_values.ctypes.data_as(ctypes.c_void_p),
-            ctypes.c_int64(clusters.edge_values.shape[1]),
+            *_cluster_ctypes_args(clusters),
             temperatures.ctypes.data_as(ctypes.c_void_p),
             ctypes.c_int64(temperatures.size),
             keys_array.ctypes.data_as(ctypes.c_void_p),
@@ -1300,29 +890,6 @@ def _ensure_numba_kernels() -> Dict[str, object]:
                         spins[r, cmembers[k]] = -spins[r, cmembers[k]]
 
     @numba.njit(cache=True)
-    def dense_kernel(spins, fields, matrix, order, temperatures, rng):
-        for t in range(temperatures.shape[0]):
-            dense_pass(spins, fields, matrix, order, temperatures[t], rng)
-
-    @numba.njit(cache=True)
-    def colour_kernel(spins, linear, members, class_starts, data, indices,
-                      indptr, scratch, temperatures, rng):
-        for t in range(temperatures.shape[0]):
-            colour_pass(spins, linear, members, class_starts, data, indices,
-                        indptr, scratch, temperatures[t], rng)
-
-    @numba.njit(cache=True)
-    def cluster_kernel(spins, linear, cmembers, cluster_starts, cdata,
-                       cindices, cindptr, edge_i, edge_j, edge_starts,
-                       edge_values, temperatures, rng):
-        dummy = np.empty((0, 0))
-        for t in range(temperatures.shape[0]):
-            cluster_pass(spins, linear, cmembers, cluster_starts, cdata,
-                         cindices, cindptr, edge_i, edge_j, edge_starts,
-                         edge_values, temperatures[t], False, dummy, dummy,
-                         rng)
-
-    @numba.njit(cache=True)
     def fused_dense_kernel(spins, fields, matrix, order, linear, cmembers,
                            cluster_starts, cdata, cindices, cindptr, edge_i,
                            edge_j, edge_starts, edge_values, temperatures,
@@ -1350,9 +917,6 @@ def _ensure_numba_kernels() -> Dict[str, object]:
                          rng)
 
     _NUMBA_KERNELS = {
-        "dense": dense_kernel,
-        "colour": colour_kernel,
-        "cluster": cluster_kernel,
         "fused_dense": fused_dense_kernel,
         "fused_colour": fused_colour_kernel,
     }
@@ -1486,23 +1050,6 @@ def _ensure_numba_counter_kernels() -> Dict[str, object]:
                     spins[r, cmembers[k]] = -spins[r, cmembers[k]]
 
     @numba.njit(cache=True, parallel=True)
-    def counter_dense_kernel(spins, fields, matrix, order, temperatures,
-                             key):
-        for r in prange(spins.shape[0]):
-            for t in range(temperatures.shape[0]):
-                counter_dense_replica(spins, fields, matrix, order,
-                                      temperatures[t], t, r, key)
-
-    @numba.njit(cache=True, parallel=True)
-    def counter_colour_kernel(spins, linear, members, class_starts, data,
-                              indices, indptr, temperatures, key):
-        for r in prange(spins.shape[0]):
-            for t in range(temperatures.shape[0]):
-                counter_colour_replica(spins, linear, members, class_starts,
-                                       data, indices, indptr,
-                                       temperatures[t], t, r, key)
-
-    @numba.njit(cache=True, parallel=True)
     def counter_fused_dense_kernel(spins, fields, matrix, order, linear,
                                    cmembers, cluster_starts, cdata, cindices,
                                    cindptr, edge_i, edge_j, edge_starts,
@@ -1536,8 +1083,6 @@ def _ensure_numba_counter_kernels() -> Dict[str, object]:
                                         key, False, dummy, dummy)
 
     _NUMBA_COUNTER_KERNELS = {
-        "dense": counter_dense_kernel,
-        "colour": counter_colour_kernel,
         "fused_dense": counter_fused_dense_kernel,
         "fused_colour": counter_fused_colour_kernel,
     }
@@ -1715,125 +1260,17 @@ static void cluster_pass(double *spins, int64_t sld, int64_t num_replicas,
     }
 }
 
-void dense_sweep(double *spins, int64_t sld,
-                 double *fields, int64_t fld,
-                 const double *matrix,
-                 const int64_t *order, int64_t order_len,
-                 const double *temperatures, int64_t num_sweeps,
-                 int64_t num_replicas, int64_t size,
-                 next_double_fn next_double, void *state)
-{
-    for (int64_t t = 0; t < num_sweeps; ++t)
-        dense_pass(spins, sld, fields, fld, matrix, order, order_len,
-                   temperatures[t], num_replicas, size, next_double, state);
-}
-
-void colour_sweep(double *spins, int64_t sld, int64_t num_replicas,
-                  const double *linear,
-                  const int64_t *members, const int64_t *class_starts,
-                  int64_t num_classes,
-                  const double *data, const int64_t *indices,
-                  const int64_t *indptr,
-                  double *scratch,
-                  const double *temperatures, int64_t num_sweeps,
-                  next_double_fn next_double, void *state)
-{
-    for (int64_t t = 0; t < num_sweeps; ++t)
-        colour_pass(spins, sld, num_replicas, linear, members, class_starts,
-                    num_classes, data, indices, indptr, scratch,
-                    temperatures[t], next_double, state);
-}
-
-void cluster_sweep(double *spins, int64_t sld, int64_t num_replicas,
-                   const double *linear,
-                   const int64_t *cmembers, const int64_t *cluster_starts,
-                   int64_t num_clusters,
-                   const double *cdata, const int64_t *cindices,
-                   const int64_t *cindptr,
-                   const int64_t *edge_i, const int64_t *edge_j,
-                   const int64_t *edge_starts, const double *edge_values,
-                   const double *temperatures, int64_t num_sweeps,
-                   next_double_fn next_double, void *state)
-{
-    for (int64_t t = 0; t < num_sweeps; ++t)
-        cluster_pass(spins, sld, num_replicas, linear, cmembers,
-                     cluster_starts, num_clusters, cdata, cindices, cindptr,
-                     edge_i, edge_j, edge_starts, edge_values,
-                     temperatures[t], NULL, 0, NULL, 0, next_double, state);
-}
-
-/* Whole-schedule fused kernels: one call per block per anneal.  Per
-   temperature the single-spin sweep runs first, then the cluster sweep —
-   the exact per-block draw order of the reference loops. */
-void fused_dense_cluster_sweep(double *spins, int64_t sld,
-                               double *fields, int64_t fld,
-                               const double *matrix,
-                               const int64_t *order, int64_t order_len,
-                               const double *linear,
-                               const int64_t *cmembers,
-                               const int64_t *cluster_starts,
-                               int64_t num_clusters,
-                               const double *cdata, const int64_t *cindices,
-                               const int64_t *cindptr,
-                               const int64_t *edge_i, const int64_t *edge_j,
-                               const int64_t *edge_starts,
-                               const double *edge_values,
-                               const double *temperatures,
-                               int64_t num_sweeps,
-                               int64_t num_replicas, int64_t size,
-                               next_double_fn next_double, void *state)
-{
-    for (int64_t t = 0; t < num_sweeps; ++t) {
-        dense_pass(spins, sld, fields, fld, matrix, order, order_len,
-                   temperatures[t], num_replicas, size, next_double, state);
-        cluster_pass(spins, sld, num_replicas, linear, cmembers,
-                     cluster_starts, num_clusters, cdata, cindices, cindptr,
-                     edge_i, edge_j, edge_starts, edge_values,
-                     temperatures[t], fields, fld, matrix, size,
-                     next_double, state);
-    }
-}
-
-void fused_colour_cluster_sweep(double *spins, int64_t sld,
-                                int64_t num_replicas,
-                                const double *linear,
-                                const int64_t *members,
-                                const int64_t *class_starts,
-                                int64_t num_classes,
-                                const double *data, const int64_t *indices,
-                                const int64_t *indptr,
-                                double *scratch,
-                                const int64_t *cmembers,
-                                const int64_t *cluster_starts,
-                                int64_t num_clusters,
-                                const double *cdata, const int64_t *cindices,
-                                const int64_t *cindptr,
-                                const int64_t *edge_i, const int64_t *edge_j,
-                                const int64_t *edge_starts,
-                                const double *edge_values,
-                                const double *temperatures,
-                                int64_t num_sweeps,
-                                next_double_fn next_double, void *state)
-{
-    for (int64_t t = 0; t < num_sweeps; ++t) {
-        colour_pass(spins, sld, num_replicas, linear, members, class_starts,
-                    num_classes, data, indices, indptr, scratch,
-                    temperatures[t], next_double, state);
-        cluster_pass(spins, sld, num_replicas, linear, cmembers,
-                     cluster_starts, num_clusters, cdata, cindices, cindptr,
-                     edge_i, edge_j, edge_starts, edge_values,
-                     temperatures[t], NULL, 0, NULL, 0, next_double, state);
-    }
-}
-
-/* Pack-level fused kernels: one call per multi-block pack per anneal.
-   All blocks share one CSR structure (the BlockDiagonalSampler invariant),
-   so per-block values travel as stacked block-major matrices (row b =
-   block b's data) and per-block randomness as arrays of BitGenerator
-   (next_double, state) pairs.  Blocks never interact and each draws from
-   its own generator, so evolving them one after the other through the
-   whole schedule reproduces every block's serial stream while amortising
-   the call marshalling over the pack — the C-RAN serving shape. */
+/* Pack kernels: one call per pack per anneal, for every problem shape — a
+   single problem is a pack of one block and a problem without chains a
+   pack with zero clusters.  Per temperature the single-spin sweep runs
+   first, then the cluster sweep: the exact per-block draw order of the
+   reference loops.  All blocks share one CSR structure (the
+   BlockDiagonalSampler invariant), so per-block values travel as stacked
+   block-major matrices (row b = block b's data) and per-block randomness
+   as arrays of BitGenerator (next_double, state) pairs.  Blocks never
+   interact and each draws from its own generator, so evolving them one
+   after the other through the whole schedule reproduces every block's
+   serial stream while amortising the call marshalling over the pack. */
 void pack_fused_colour_cluster_sweep(
     double *spins, int64_t sld, int64_t num_replicas,
     int64_t num_blocks, int64_t size,
@@ -2064,53 +1501,6 @@ static void counter_cluster_replica(double *srow, const double *linear,
     }
 }
 
-void counter_dense_sweep(double *spins, int64_t sld,
-                         double *fields, int64_t fld,
-                         const double *matrix,
-                         const int64_t *order, int64_t order_len,
-                         const double *temperatures, int64_t num_sweeps,
-                         int64_t num_replicas, int64_t size,
-                         uint64_t key, int64_t threads)
-{
-    const uint32_t k0 = (uint32_t)key;
-    const uint32_t k1 = (uint32_t)(key >> 32);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) num_threads((int)threads)
-#endif
-    for (int64_t r = 0; r < num_replicas; ++r) {
-        double *srow = spins + r * sld;
-        double *frow = fields + r * fld;
-        for (int64_t t = 0; t < num_sweeps; ++t)
-            counter_dense_replica(srow, frow, matrix, order, order_len,
-                                  size, temperatures[t], (uint32_t)t,
-                                  (uint32_t)r, k0, k1);
-    }
-}
-
-void counter_colour_sweep(double *spins, int64_t sld, int64_t num_replicas,
-                          const double *linear,
-                          const int64_t *members,
-                          const int64_t *class_starts, int64_t num_classes,
-                          const double *data, const int64_t *indices,
-                          const int64_t *indptr,
-                          const double *temperatures, int64_t num_sweeps,
-                          uint64_t key, int64_t threads)
-{
-    const uint32_t k0 = (uint32_t)key;
-    const uint32_t k1 = (uint32_t)(key >> 32);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) num_threads((int)threads)
-#endif
-    for (int64_t r = 0; r < num_replicas; ++r) {
-        double *srow = spins + r * sld;
-        for (int64_t t = 0; t < num_sweeps; ++t)
-            counter_colour_replica(srow, linear, members, class_starts,
-                                   num_classes, data, indices, indptr,
-                                   temperatures[t], (uint32_t)t,
-                                   (uint32_t)r, k0, k1);
-    }
-}
-
 /* Counter-mode pack kernels: blocks and replicas are all independent, so
    the parallel loop collapses over (block, replica) pairs — the pack's
    full parallelism budget in one region. */
@@ -2294,68 +1684,10 @@ def _load_cext() -> Optional[ctypes.CDLL]:
         return None
     try:
         lib = ctypes.CDLL(str(path))
-        lib.dense_sweep.restype = None
-        lib.dense_sweep.argtypes = [
-            ctypes.c_void_p, ctypes.c_int64,   # spins, row stride
-            ctypes.c_void_p, ctypes.c_int64,   # fields, row stride
-            ctypes.c_void_p,                   # matrix
-            ctypes.c_void_p, ctypes.c_int64,   # order, order_len
-            ctypes.c_void_p, ctypes.c_int64,   # temperatures, num_sweeps
-            ctypes.c_int64, ctypes.c_int64,    # num_replicas, size
-            ctypes.c_void_p, ctypes.c_void_p,  # next_double, state
-        ]
-        lib.colour_sweep.restype = None
-        lib.colour_sweep.argtypes = [
-            ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,  # spins, ld, R
-            ctypes.c_void_p,                   # linear
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,  # classes
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # CSR
-            ctypes.c_void_p,                   # scratch
-            ctypes.c_void_p, ctypes.c_int64,   # temperatures, num_sweeps
-            ctypes.c_void_p, ctypes.c_void_p,  # next_double, state
-        ]
-        # Flattened cluster-descriptor tail shared by the cluster kernels:
-        # members, cluster_starts, num_clusters, CSR triple, edge arrays.
+        # Flattened cluster-descriptor tail shared by every kernel (the
+        # order of _cluster_ctypes_args); the sequential kernels take
+        # per-block rng pointer arrays.
         cluster_args = [
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,   # clusters
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # CSR
-            ctypes.c_void_p, ctypes.c_void_p,  # edge_i, edge_j
-            ctypes.c_void_p, ctypes.c_void_p,  # edge_starts, edge_values
-        ]
-        lib.cluster_sweep.restype = None
-        lib.cluster_sweep.argtypes = [
-            ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,  # spins, ld, R
-            ctypes.c_void_p,                   # linear
-            *cluster_args,
-            ctypes.c_void_p, ctypes.c_int64,   # temperatures, num_sweeps
-            ctypes.c_void_p, ctypes.c_void_p,  # next_double, state
-        ]
-        lib.fused_dense_cluster_sweep.restype = None
-        lib.fused_dense_cluster_sweep.argtypes = [
-            ctypes.c_void_p, ctypes.c_int64,   # spins, row stride
-            ctypes.c_void_p, ctypes.c_int64,   # fields, row stride
-            ctypes.c_void_p,                   # matrix
-            ctypes.c_void_p, ctypes.c_int64,   # order, order_len
-            ctypes.c_void_p,                   # linear
-            *cluster_args,
-            ctypes.c_void_p, ctypes.c_int64,   # temperatures, num_sweeps
-            ctypes.c_int64, ctypes.c_int64,    # num_replicas, size
-            ctypes.c_void_p, ctypes.c_void_p,  # next_double, state
-        ]
-        lib.fused_colour_cluster_sweep.restype = None
-        lib.fused_colour_cluster_sweep.argtypes = [
-            ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,  # spins, ld, R
-            ctypes.c_void_p,                   # linear
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,  # classes
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # CSR
-            ctypes.c_void_p,                   # scratch
-            *cluster_args,
-            ctypes.c_void_p, ctypes.c_int64,   # temperatures, num_sweeps
-            ctypes.c_void_p, ctypes.c_void_p,  # next_double, state
-        ]
-        # Pack-level variants: stacked per-block values, per-block rng
-        # pointer arrays.
-        pack_cluster_args = [
             ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,   # clusters
             ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # CSR
             ctypes.c_int64,                    # cluster_nnz
@@ -2374,7 +1706,7 @@ def _load_cext() -> Optional[ctypes.CDLL]:
             ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # CSR
             ctypes.c_int64,                    # class_nnz
             ctypes.c_void_p,                   # scratch
-            *pack_cluster_args,
+            *cluster_args,
             ctypes.c_void_p, ctypes.c_int64,   # temperatures, num_sweeps
             *rng_arrays,                       # next_doubles, states
         ]
@@ -2386,31 +1718,12 @@ def _load_cext() -> Optional[ctypes.CDLL]:
             ctypes.c_void_p, ctypes.c_int64,   # order, order_len
             ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,  # R, blocks, P
             ctypes.c_void_p,                   # linear
-            *pack_cluster_args,
+            *cluster_args,
             ctypes.c_void_p, ctypes.c_int64,   # temperatures, num_sweeps
             *rng_arrays,                       # next_doubles, states
         ]
-        # Counter-mode variants: a 64-bit Philox key (or per-block key
-        # array) and a thread count instead of the Generator pointers.
-        lib.counter_dense_sweep.restype = None
-        lib.counter_dense_sweep.argtypes = [
-            ctypes.c_void_p, ctypes.c_int64,   # spins, row stride
-            ctypes.c_void_p, ctypes.c_int64,   # fields, row stride
-            ctypes.c_void_p,                   # matrix
-            ctypes.c_void_p, ctypes.c_int64,   # order, order_len
-            ctypes.c_void_p, ctypes.c_int64,   # temperatures, num_sweeps
-            ctypes.c_int64, ctypes.c_int64,    # num_replicas, size
-            ctypes.c_uint64, ctypes.c_int64,   # key, threads
-        ]
-        lib.counter_colour_sweep.restype = None
-        lib.counter_colour_sweep.argtypes = [
-            ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,  # spins, ld, R
-            ctypes.c_void_p,                   # linear
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,  # classes
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # CSR
-            ctypes.c_void_p, ctypes.c_int64,   # temperatures, num_sweeps
-            ctypes.c_uint64, ctypes.c_int64,   # key, threads
-        ]
+        # Counter-mode variants: per-block Philox keys and a thread count
+        # instead of the Generator pointers.
         lib.counter_pack_fused_dense_cluster_sweep.restype = None
         lib.counter_pack_fused_dense_cluster_sweep.argtypes = [
             ctypes.c_void_p, ctypes.c_int64,   # spins, row stride
@@ -2419,7 +1732,7 @@ def _load_cext() -> Optional[ctypes.CDLL]:
             ctypes.c_void_p, ctypes.c_int64,   # order, order_len
             ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,  # R, blocks, P
             ctypes.c_void_p,                   # linear
-            *pack_cluster_args,
+            *cluster_args,
             ctypes.c_void_p, ctypes.c_int64,   # temperatures, num_sweeps
             ctypes.c_void_p, ctypes.c_int64,   # keys, threads
         ]
@@ -2431,7 +1744,7 @@ def _load_cext() -> Optional[ctypes.CDLL]:
             ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,  # classes
             ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # CSR
             ctypes.c_int64,                    # class_nnz
-            *pack_cluster_args,
+            *cluster_args,
             ctypes.c_void_p, ctypes.c_int64,   # temperatures, num_sweeps
             ctypes.c_void_p, ctypes.c_int64,   # keys, threads
         ]

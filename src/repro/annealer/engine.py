@@ -58,11 +58,13 @@ reference loops in this module, while ``"numba"`` / ``"cext"`` run compiled
 translations from :mod:`repro.annealer.backends` that consume the exact same
 per-variable Metropolis draw stream (``"auto"``, the default, picks the best
 available and falls back to numpy).  Because each block draws from its own
-generator and blocks never interact, the compiled backends evolve blocks one
-at a time through the whole schedule without changing any block's stream —
-including embedded problems with cluster (chain-flip) moves, which run
-through fused single-spin+cluster kernels driven by a flattened per-block
-cluster descriptor (:meth:`BlockDiagonalSampler._cluster_descriptors`).
+generator and blocks never interact, a compiled pack kernel evolves the
+blocks one after the other through the whole schedule without changing any
+block's stream.  A single problem is a pack of one block and a problem
+without chains is a pack with zero clusters, so every compiled anneal is
+exactly one pack-kernel dispatch; cluster (chain-flip) moves run fused with
+the single-spin sweep, driven by a flattened cluster descriptor
+(:meth:`BlockDiagonalSampler._cluster_pack_descriptor`).
 """
 
 from __future__ import annotations
@@ -256,9 +258,11 @@ class BlockDiagonalSampler:
         resolved = backends.resolve_backend(backend)
         if resolved != "numpy":
             backends.warmup(resolved, rng=self.rng_mode)
-        #: Whether cluster flips update the dense kernel's local-field matrix
-        #: incrementally (the default) instead of recomputing it after every
-        #: sweep; kept as a switch so benchmarks can time the recompute path.
+        #: Whether the numpy reference's cluster flips update the dense
+        #: kernel's local-field matrix incrementally (the default) instead of
+        #: recomputing it after every sweep; a diagnostic of the numpy
+        #: reference only, kept so benchmarks can time the recompute path
+        #: (the compiled pack kernels always update incrementally).
         self.incremental_cluster_fields = True
         isings = list(isings)
         if not isings:
@@ -393,9 +397,8 @@ class BlockDiagonalSampler:
         availability probes (monkeypatched in fallback tests, or a numba
         install appearing between runs) take effect without rebuilding the
         sampler; resolution itself is a cached dictionary lookup.  The
-        resolved backend runs every pack shape — since the fused cluster
-        kernels, multi-block packs with cluster moves (the serving shape)
-        dispatch compiled too, one whole-schedule call per block.
+        resolved backend runs every pack shape, with or without cluster
+        moves, as one whole-schedule pack call per anneal.
         """
         return backends.resolve_backend(self.backend)
 
@@ -511,88 +514,71 @@ class BlockDiagonalSampler:
                 for members in self.block_clusters]
 
     def _block_csr_structure(self, operators: List[sparse.csr_matrix],
-                             widths: Sequence[int]) -> List[Tuple]:
-        """Per-block CSR structure of block-major stacked combined operators.
+                             widths: Sequence[int]) -> Tuple:
+        """Shared block-local CSR structure of block-major stacked operators.
 
         Each combined operator holds, block-major, ``widths[k]`` rows per
         block whose entries all fall inside that block's column range; block
         ``b``'s rows of operator ``k`` are therefore the contiguous row
         segment ``[b*widths[k], (b+1)*widths[k])`` and its data slots the
         contiguous ``.data`` slice between those rows' ``indptr`` bounds.
-        Returns, per block, ``(data_slices, indices, indptr)`` where
-        *data_slices* are ``(operator, lo, hi)`` views into the live
-        operators (rewritten in place by :meth:`refresh_values`, so callers
-        assembling values from them always see the current coefficients)
-        and *indices*/*indptr* the rebased block-local CSR structure.
+        Returns ``(slices, indices, indptr)``: ``slices[b]`` lists block
+        ``b``'s ``(operator, lo, hi)`` views into the live operators
+        (rewritten in place by :meth:`refresh_values`, so values assembled
+        from them are always current), and *indices*/*indptr* are the
+        block-local CSR structure every block shares (the sampler
+        invariant), read off block 0.  No operators (a sampler without
+        clusters) give the empty structure.
         """
-        size = self.block_size
-        per_block: List[Tuple] = []
-        for b in range(self.num_blocks):
-            slices = []
-            indices_parts = []
-            count_parts = []
-            for operator, width in zip(operators, widths):
-                indptr = operator.indptr
-                lo = int(indptr[b * width])
-                hi = int(indptr[(b + 1) * width])
-                slices.append((operator, lo, hi))
-                indices_parts.append(
-                    operator.indices[lo:hi].astype(np.int64) - b * size)
-                count_parts.append(
-                    np.diff(indptr[b * width:(b + 1) * width + 1]))
-            indices = np.ascontiguousarray(np.concatenate(indices_parts),
-                                           dtype=np.int64)
-            indptr = np.ascontiguousarray(
-                np.concatenate([[0], np.cumsum(np.concatenate(count_parts))]),
-                dtype=np.int64)
-            per_block.append((slices, indices, indptr))
-        return per_block
+        slices = [[(operator, int(operator.indptr[b * width]),
+                    int(operator.indptr[(b + 1) * width]))
+                   for operator, width in zip(operators, widths)]
+                  for b in range(self.num_blocks)]
+        empty = np.empty(0, dtype=np.int64)
+        indices = np.concatenate(
+            [empty] + [operator.indices[lo:hi]
+                       for operator, lo, hi in slices[0]])
+        counts = np.concatenate(
+            [empty] + [np.diff(operator.indptr[:width + 1])
+                       for operator, width in zip(operators, widths)])
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        return (slices, np.ascontiguousarray(indices, dtype=np.int64),
+                np.ascontiguousarray(indptr, dtype=np.int64))
 
-    @staticmethod
-    def _assemble_data(slices) -> np.ndarray:
-        """Concatenate live operator ``.data`` slices into one value vector."""
-        return np.ascontiguousarray(
-            np.concatenate([np.asarray(operator.data[lo:hi])
-                            for operator, lo, hi in slices]),
-            dtype=np.float64)
-
-    def _stack_block_data(self, per_block) -> np.ndarray:
-        """Stack every block's live operator values into a ``(blocks, nnz)``
-        matrix — the pack-kernel form of :meth:`_assemble_data`."""
-        nnz = per_block[0][1].size
+    def _stack_block_data(self, slices) -> np.ndarray:
+        """Every block's live operator values as one ``(blocks, nnz)``
+        matrix: row ``b`` concatenates the ``slices[b]`` views."""
+        nnz = sum(hi - lo for _, lo, hi in slices[0])
         stacked = np.empty((self.num_blocks, nnz))
-        for b, (slices, _, _) in enumerate(per_block):
+        for b, block_slices in enumerate(slices):
             position = 0
-            for operator, lo, hi in slices:
+            for operator, lo, hi in block_slices:
                 stacked[b, position:position + hi - lo] = operator.data[lo:hi]
                 position += hi - lo
         return stacked
 
     def _ensure_cluster_cache(self) -> Tuple:
-        """Build (once per sampler) the flattened cluster structure arrays."""
+        """Build (once per sampler) the flattened cluster structure arrays.
+
+        A sampler without clusters gets the empty structure: no members,
+        ``cluster_starts == [0]`` and no internal edges.
+        """
         if self._cluster_compiled_cache is None:
-            members = np.ascontiguousarray(
-                np.concatenate(self.block_clusters), dtype=np.int64)
-            cluster_starts = np.ascontiguousarray(
-                np.concatenate([[0], np.cumsum(self._cluster_lengths)]),
-                dtype=np.int64)
+            def int64(values) -> np.ndarray:
+                return np.ascontiguousarray(values, dtype=np.int64)
+
+            members = np.concatenate(
+                [np.empty(0, dtype=np.int64)] + self.block_clusters)
             edge_counts = [len(keys) for keys in self._cluster_internal_keys]
-            edge_starts = np.ascontiguousarray(
-                np.concatenate([[0], np.cumsum(edge_counts)]),
-                dtype=np.int64)
-            if sum(edge_counts):
-                pairs = np.concatenate([
-                    np.asarray(keys, dtype=np.int64).reshape(len(keys), 2)
-                    for keys in self._cluster_internal_keys if keys])
-                edge_i = np.ascontiguousarray(pairs[:, 0])
-                edge_j = np.ascontiguousarray(pairs[:, 1])
-            else:
-                edge_i = np.empty(0, dtype=np.int64)
-                edge_j = np.empty(0, dtype=np.int64)
-            per_block = self._block_csr_structure(self._cluster_operators,
-                                                  self._cluster_lengths)
-            self._cluster_compiled_cache = (members, cluster_starts, edge_i,
-                                            edge_j, edge_starts, per_block)
+            pairs = int64([key for keys in self._cluster_internal_keys
+                           for key in keys]).reshape(-1, 2)
+            self._cluster_compiled_cache = (
+                int64(members),
+                int64(np.concatenate([[0], np.cumsum(self._cluster_lengths)])),
+                int64(pairs[:, 0]), int64(pairs[:, 1]),
+                int64(np.concatenate([[0], np.cumsum(edge_counts)])),
+                *self._block_csr_structure(self._cluster_operators,
+                                           self._cluster_lengths))
         return self._cluster_compiled_cache
 
     def _cluster_edge_values(self) -> np.ndarray:
@@ -606,55 +592,27 @@ class BlockDiagonalSampler:
             return np.empty((0, self.num_blocks))
         return np.concatenate(nonempty, axis=0)
 
-    def _cluster_descriptors(self) -> List[backends.ClusterDescriptor]:
-        """Per-block flattened cluster descriptors for the compiled kernels.
-
-        One :class:`~repro.annealer.backends.ClusterDescriptor` per block:
-        the ragged member/internal-edge structure arrays (shared between
-        blocks, derived once per sampler) plus the block's own coupling
-        values — the member local-field rows as a CSR triple holding the
-        same values in the same ascending-column summation order as the
-        reference cluster operators, and the internal-edge value vector.
-        The value arrays are assembled per call from the live operators, so
-        samplers rebound through :meth:`refresh_values` always sweep the
-        current values.
-        """
-        (members, cluster_starts, edge_i, edge_j, edge_starts,
-         per_block) = self._ensure_cluster_cache()
-        values = self._cluster_edge_values()
-        return [
-            backends.ClusterDescriptor(
-                members=members,
-                cluster_starts=cluster_starts,
-                data=self._assemble_data(slices),
-                indices=indices,
-                indptr=indptr,
-                edge_i=edge_i,
-                edge_j=edge_j,
-                edge_starts=edge_starts,
-                edge_values=np.ascontiguousarray(values[:, b],
-                                                 dtype=np.float64),
-            )
-            for b, (slices, indices, indptr) in enumerate(per_block)
-        ]
-
     def _cluster_pack_descriptor(self) -> backends.ClusterDescriptor:
-        """Pack-level cluster descriptor: stacked block-major value matrices.
+        """Pack cluster descriptor: the compiled kernels' view of the chains.
 
-        The structure arrays are those of :meth:`_cluster_descriptors`
-        (identical across blocks — the sampler invariant); ``data`` and
-        ``edge_values`` hold every block's values as ``(blocks, nnz)`` /
-        ``(blocks, E)`` rows, the shape the pack-level fused kernels
-        consume so a multi-block anneal is one compiled dispatch.
+        The ragged member/internal-edge structure arrays (shared between
+        blocks, derived once per sampler) plus every block's coupling values
+        as ``(blocks, nnz)`` / ``(blocks, E)`` block-major matrices: the
+        member local-field rows hold the same values, in the same
+        ascending-column summation order, as the reference cluster
+        operators.  The values are assembled per call from the live
+        operators, so samplers rebound through :meth:`refresh_values` always
+        sweep the current values.  Without clusters this is the empty
+        descriptor, so chain-free problems run the same pack kernels.
         """
-        (members, cluster_starts, edge_i, edge_j, edge_starts,
-         per_block) = self._ensure_cluster_cache()
+        (members, cluster_starts, edge_i, edge_j, edge_starts, slices,
+         indices, indptr) = self._ensure_cluster_cache()
         return backends.ClusterDescriptor(
             members=members,
             cluster_starts=cluster_starts,
-            data=self._stack_block_data(per_block),
-            indices=per_block[0][1],
-            indptr=per_block[0][2],
+            data=self._stack_block_data(slices),
+            indices=indices,
+            indptr=indptr,
             edge_i=edge_i,
             edge_j=edge_j,
             edge_starts=edge_starts,
@@ -861,19 +819,13 @@ class BlockDiagonalSampler:
                     self._cluster_sweep(spins, temperature, rngs)
                     fields[...] = recompute_fields()
 
-    def _dense_sweep_compiled(self, spins: np.ndarray,
-                              temperatures: np.ndarray,
-                              rngs: Sequence[np.random.Generator],
-                              backend: str) -> None:
-        """Dense sequential sweep through a compiled backend kernel.
+    def _dense_pack_inputs(self, spins: np.ndarray
+                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(couplings, order, fields)`` for the dense pack kernels.
 
-        Blocks never interact and each draws from its own generator, so the
-        compiled kernel evolves one block at a time through the whole
-        schedule — with clusters, the fused dense+cluster kernel interleaves
-        the cluster-flip sweep after every dense sweep and maintains the
-        block's local-field matrix incrementally across both move types —
-        without changing any block's draw stream relative to the reference
-        loop.
+        The dense ``(blocks, P, P)`` couplings, the colour-class visit order
+        and the initial combined local-field matrix, which the kernels then
+        maintain incrementally across both move types.
         """
         size = self.block_size
         coupling = self._dense_coupling_blocks()
@@ -884,169 +836,95 @@ class BlockDiagonalSampler:
             segment = slice(b * size, (b + 1) * size)
             fields[:, segment] = (spins[:, segment] @ coupling[b]
                                   + self.linear[segment][None, :])
-        if not self._cluster_operators:
-            for b, rng in enumerate(rngs):
-                segment = slice(b * size, (b + 1) * size)
-                backends.dense_sweep(backend, spins[:, segment],
-                                     fields[:, segment], coupling[b], order,
-                                     temperatures, rng)
-            return
-        if self.incremental_cluster_fields:
-            backends.pack_fused_dense_cluster_sweep(
-                backend, spins, fields, coupling, order, self.linear,
-                self._cluster_pack_descriptor(), temperatures, rngs)
-            return
-        # Diagnostic recompute mode (incremental_cluster_fields=False):
-        # compiled dense sweeps with the reference cluster sweep and a full
-        # field recompute interleaved per temperature, kept so benchmarks
-        # can time the recompute path.  Streams are identical either way.
-        for temperature in temperatures:
-            one = np.array([temperature])
-            for b, rng in enumerate(rngs):
-                segment = slice(b * size, (b + 1) * size)
-                backends.dense_sweep(backend, spins[:, segment],
-                                     fields[:, segment], coupling[b], order,
-                                     one, rng)
-            self._cluster_sweep(spins, temperature, rngs)
-            for b in range(self.num_blocks):
-                segment = slice(b * size, (b + 1) * size)
-                fields[:, segment] = (spins[:, segment] @ coupling[b]
-                                      + self.linear[segment][None, :])
+        return coupling, order, fields
 
-    def _colour_class_csr(self) -> Tuple[np.ndarray, np.ndarray, list]:
-        """Block-local ragged colour classes + stacked per-class CSR operators.
+    def _dense_sweep_compiled(self, spins: np.ndarray,
+                              temperatures: np.ndarray,
+                              rngs: Sequence[np.random.Generator],
+                              backend: str) -> None:
+        """Dense sequential sweeps through the compiled pack kernel.
 
-        Returns ``(members, class_starts, per_block)`` where *members* holds
-        the block-level variable indices of all classes concatenated in class
-        order, *class_starts* delimits the classes, and ``per_block[b]`` is
-        the ``(data, indices, indptr)`` CSR triple whose row ``k`` maps block
-        ``b``'s spins to the local field of ``members[k]`` — the same values,
-        in the same (ascending-column) summation order, as the combined
-        per-class operators the reference loop multiplies through.  The
-        structure is derived once per sampler; the value vectors are
-        assembled per call from the live class operators, so
-        :meth:`refresh_values` rebinds are always honoured.
+        Blocks never interact and each draws from its own generator, so one
+        pack call evolves block after block through the whole schedule — the
+        fused kernel interleaves the cluster-flip sweep (if any) after every
+        dense sweep and maintains the block's local-field matrix
+        incrementally across both move types — without changing any block's
+        draw stream relative to the reference loop.
         """
-        members, class_starts, per_block = self._ensure_colour_cache()
-        return members, class_starts, [
-            (self._assemble_data(slices), indices, indptr)
-            for slices, indices, indptr in per_block
-        ]
-
-    def _ensure_colour_cache(self) -> Tuple:
-        """Build (once per sampler) the stacked colour-class CSR structure."""
-        if self._colour_csr_cache is None:
-            members = np.ascontiguousarray(np.concatenate(self.block_classes),
-                                           dtype=np.int64)
-            class_starts = np.ascontiguousarray(
-                np.concatenate([[0], np.cumsum(self._class_widths)]),
-                dtype=np.int64)
-            per_block = self._block_csr_structure(self.class_operators,
-                                                  self._class_widths)
-            self._colour_csr_cache = (members, class_starts, per_block)
-        return self._colour_csr_cache
+        coupling, order, fields = self._dense_pack_inputs(spins)
+        backends.pack_fused_dense_cluster_sweep(
+            backend, spins, fields, coupling, order, self.linear,
+            self._cluster_pack_descriptor(), temperatures, rngs)
 
     def _colour_pack_csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
                                         np.ndarray, np.ndarray]:
-        """Pack form of :meth:`_colour_class_csr`: one stacked value matrix.
+        """Ragged colour classes and their stacked per-class CSR operators.
 
-        Returns ``(members, class_starts, class_data, indices, indptr)``
-        with ``class_data`` the ``(blocks, nnz)`` block-major value matrix
-        over the shared rebased CSR structure — the shape the pack-level
-        fused kernels consume.
+        Returns ``(members, class_starts, class_data, indices, indptr)``:
+        *members* holds the block-level variable indices of all classes
+        concatenated in class order and *class_starts* delimits the classes.
+        Row ``k`` of the shared CSR structure maps a block's spins to the
+        local field of ``members[k]``, and ``class_data[b]`` holds block
+        ``b``'s values — the same values, in the same (ascending-column)
+        summation order, as the combined per-class operators the reference
+        loop multiplies through.  The structure is derived once per
+        sampler; the values are assembled per call from the live class
+        operators, so :meth:`refresh_values` rebinds are always honoured.
         """
-        members, class_starts, per_block = self._ensure_colour_cache()
-        return (members, class_starts, self._stack_block_data(per_block),
-                per_block[0][1], per_block[0][2])
+        if self._colour_csr_cache is None:
+            self._colour_csr_cache = (
+                np.ascontiguousarray(np.concatenate(self.block_classes),
+                                     dtype=np.int64),
+                np.ascontiguousarray(
+                    np.concatenate([[0], np.cumsum(self._class_widths)]),
+                    dtype=np.int64),
+                *self._block_csr_structure(self.class_operators,
+                                           self._class_widths))
+        members, class_starts, slices, indices, indptr = \
+            self._colour_csr_cache
+        return (members, class_starts, self._stack_block_data(slices),
+                indices, indptr)
 
     def _colour_sweep_compiled(self, spins: np.ndarray,
                                temperatures: np.ndarray,
                                rngs: Sequence[np.random.Generator],
-                               num_replicas: int, backend: str) -> None:
-        """Colour-class sweeps through a compiled backend kernel.
+                               backend: str) -> None:
+        """Colour-class sweeps through the compiled pack kernel.
 
-        Same block-at-a-time strategy as the dense compiled path; the
-        per-class local-field operator values are re-read from the live
-        combined matrix on every call, so samplers rebound through
-        :meth:`refresh_values` always sweep the current values.  With
-        clusters, the pack-level fused colour+cluster kernel runs the whole
-        schedule for the whole pack — the embedded serving shape, one
-        compiled dispatch per anneal instead of one per (block, sweep).
+        Same pack strategy as the dense compiled path: the fused
+        colour+cluster kernel runs the whole schedule for the whole pack —
+        the embedded serving shape, one compiled dispatch per anneal instead
+        of one per (block, sweep).
         """
-        size = self.block_size
         max_width = max((g.size for g in self.block_classes), default=1)
-        scratch = np.empty((num_replicas, max(max_width, 1)))
-        if not self._cluster_operators:
-            members, class_starts, per_block = self._colour_class_csr()
-            for b, rng in enumerate(rngs):
-                segment = slice(b * size, (b + 1) * size)
-                data, indices, indptr = per_block[b]
-                backends.colour_sweep(backend, spins[:, segment],
-                                      self.linear[segment], members,
-                                      class_starts, data, indices, indptr,
-                                      scratch, temperatures, rng)
-            return
-        members, class_starts, class_data, indices, indptr = \
-            self._colour_pack_csr()
+        scratch = np.empty((spins.shape[0], max(max_width, 1)))
         backends.pack_fused_colour_cluster_sweep(
-            backend, spins, self.linear, members, class_starts, class_data,
-            indices, indptr, scratch, self._cluster_pack_descriptor(),
-            temperatures, rngs)
+            backend, spins, self.linear, *self._colour_pack_csr(), scratch,
+            self._cluster_pack_descriptor(), temperatures, rngs)
 
     def _counter_sweeps(self, spins: np.ndarray, temperatures: np.ndarray,
                         keys: List[int], backend: str) -> None:
         """Run the whole schedule under the counter (Philox) discipline.
 
-        Dispatches the ``counter_*`` kernels of
-        :mod:`repro.annealer.backends` — per-block single-kernel calls
-        without clusters, the pack-level fused kernels with them.  Every
-        backend implements the identical keyed draw function, so this path
-        is bit-identical across ``backend`` and ``self.threads`` (the
-        numpy branch is the reference).  Cluster flips always maintain the
-        dense kernel's fields incrementally here: the recompute diagnostic
-        of ``incremental_cluster_fields`` is a sequential-mode benchmark
-        switch only.
+        One ``counter_pack_*`` call of :mod:`repro.annealer.backends` per
+        anneal on every backend (its numpy branch is the counter
+        reference).  Every backend implements the identical keyed draw
+        function, so this path is bit-identical across ``backend`` and
+        ``self.threads``.  Cluster flips always maintain the dense kernel's
+        fields incrementally here: the recompute diagnostic of
+        ``incremental_cluster_fields`` belongs to the sequential numpy
+        reference only.
         """
-        size = self.block_size
-        threads = self.threads
+        clusters = self._cluster_pack_descriptor()
         if self.selected_kernel == "dense":
-            coupling = self._dense_coupling_blocks()
-            order = np.ascontiguousarray(np.concatenate(self.block_classes),
-                                         dtype=np.int64)
-            fields = np.empty_like(spins)
-            for b in range(self.num_blocks):
-                segment = slice(b * size, (b + 1) * size)
-                fields[:, segment] = (spins[:, segment] @ coupling[b]
-                                      + self.linear[segment][None, :])
-            if not self._cluster_operators:
-                for b, key in enumerate(keys):
-                    segment = slice(b * size, (b + 1) * size)
-                    backends.counter_dense_sweep(
-                        backend, spins[:, segment], fields[:, segment],
-                        coupling[b], order, temperatures, key,
-                        threads=threads)
-                return
+            coupling, order, fields = self._dense_pack_inputs(spins)
             backends.counter_pack_fused_dense_cluster_sweep(
                 backend, spins, fields, coupling, order, self.linear,
-                self._cluster_pack_descriptor(), temperatures, keys,
-                threads=threads)
+                clusters, temperatures, keys, threads=self.threads)
             return
-        if not self._cluster_operators:
-            members, class_starts, per_block = self._colour_class_csr()
-            for b, key in enumerate(keys):
-                segment = slice(b * size, (b + 1) * size)
-                data, indices, indptr = per_block[b]
-                backends.counter_colour_sweep(
-                    backend, spins[:, segment], self.linear[segment],
-                    members, class_starts, data, indices, indptr,
-                    temperatures, key, threads=threads)
-            return
-        members, class_starts, class_data, indices, indptr = \
-            self._colour_pack_csr()
         backends.counter_pack_fused_colour_cluster_sweep(
-            backend, spins, self.linear, members, class_starts, class_data,
-            indices, indptr, self._cluster_pack_descriptor(), temperatures,
-            keys, threads=threads)
+            backend, spins, self.linear, *self._colour_pack_csr(), clusters,
+            temperatures, keys, threads=self.threads)
 
     def _anneal(self, temperatures: Sequence[float], num_replicas: int,
                 rngs: Sequence[np.random.Generator],
@@ -1120,7 +998,7 @@ class BlockDiagonalSampler:
         if backend != "numpy":
             with sweep_phase:
                 self._colour_sweep_compiled(spins, temperatures, rngs,
-                                            num_replicas, backend)
+                                            backend)
             return spins.astype(np.int8)
 
         with sweep_phase:

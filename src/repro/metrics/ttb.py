@@ -120,6 +120,10 @@ class InstanceSolutionProfile:
             np.cumsum(self.probabilities[::-1])[::-1],
             [0.0],
         ])
+        # __post_init__ normalised the probabilities, so the full tail is 1;
+        # the reversed cumsum can leave it one ulp short, which the power
+        # below magnifies into a BER under the floor.
+        tail[0] = 1.0
         tail = np.clip(tail, 0.0, 1.0)
         weights = tail[:-1] ** num_anneals - tail[1:] ** num_anneals
         value = float(np.sum(weights * self.bit_errors) / self.num_bits)

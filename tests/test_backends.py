@@ -302,65 +302,58 @@ class TestCompiledClusterKernels:
         np.testing.assert_array_equal(expected, actual)
         assert array_digest(expected) == array_digest(actual)
 
+    @pytest.mark.parametrize("rng_mode", ["sequential", "counter"])
+    @pytest.mark.parametrize("chains", ["path", "none"])
+    @pytest.mark.parametrize("blocks", [1, 3])
     @pytest.mark.parametrize("kernel", ["colour", "dense"])
     def test_multi_block_cluster_pack_dispatches_compiled(
-            self, backend, kernel, monkeypatch):
-        """PR 4's dispatch exception is gone: serving-shaped packs with
-        chains run one pack-level fused compiled call per anneal."""
+            self, backend, kernel, blocks, chains, rng_mode, monkeypatch):
+        """Every pack shape runs one pack-level fused compiled call per
+        anneal: a single problem is a pack of one and a problem without
+        chains a pack with zero clusters."""
         base, clusters = path_chain_ising(20, 4, 42, density=0.15)
+        if chains == "none":
+            clusters = None
         rng = np.random.default_rng(43)
         problems = [
             IsingModel(num_variables=20, linear=rng.normal(size=20),
                        couplings={key: float(rng.normal())
                                   for key in base.couplings})
-            for _ in range(3)
+            for _ in range(blocks)
         ]
         entry = ("pack_fused_dense_cluster_sweep" if kernel == "dense"
                  else "pack_fused_colour_cluster_sweep")
-        calls = []
-        original = getattr(backends, entry)
-
-        def counting(used_backend, *args, **kwargs):
-            calls.append(used_backend)
-            return original(used_backend, *args, **kwargs)
-
-        monkeypatch.setattr(backends, entry, counting)
-        temperatures = schedule(30)
+        if rng_mode == "counter":
+            entry = "counter_" + entry
+        # Built before counting: construction warms the backend, which
+        # runs the pack kernels on toy inputs once per process.
         packed = BlockDiagonalSampler(problems, clusters=clusters,
-                                      kernel=kernel, backend=backend)
+                                      kernel=kernel, backend=backend,
+                                      rng=rng_mode)
+        calls = []
+        for name in ("pack_fused_dense_cluster_sweep",
+                     "pack_fused_colour_cluster_sweep",
+                     "counter_pack_fused_dense_cluster_sweep",
+                     "counter_pack_fused_colour_cluster_sweep"):
+            def counting(used_backend, *args, _name=name,
+                         _original=getattr(backends, name), **kwargs):
+                calls.append((_name, used_backend))
+                return _original(used_backend, *args, **kwargs)
+
+            monkeypatch.setattr(backends, name, counting)
+        temperatures = schedule(30)
         actual = packed.anneal(temperatures, 6,
                                [np.random.default_rng(50 + b)
-                                for b in range(3)])
-        assert calls == [backend], \
-            "a multi-block cluster pack must be one compiled pack dispatch"
+                                for b in range(blocks)])
+        assert calls == [(entry, backend)], \
+            "every anneal must be exactly one compiled pack dispatch"
         monkeypatch.undo()
         expected = BlockDiagonalSampler(problems, clusters=clusters,
-                                        kernel=kernel,
-                                        backend="numpy").anneal(
+                                        kernel=kernel, backend="numpy",
+                                        rng=rng_mode).anneal(
             temperatures, 6,
-            [np.random.default_rng(50 + b) for b in range(3)])
+            [np.random.default_rng(50 + b) for b in range(blocks)])
         np.testing.assert_array_equal(expected, actual)
-
-    def test_cluster_sweep_entry_point(self, backend):
-        """The standalone cluster_sweep consumes the reference draw stream:
-        a schedule of pure cluster sweeps equals the numpy cluster path of a
-        colour-kernel sampler whose classes never move (no couplings beyond
-        the chains, zero-field singleton classes would still flip; instead
-        compare against engine-built descriptors via one-sweep equality)."""
-        ising, clusters = path_chain_ising(24, 4, 44, density=0.1)
-        sampler = IsingSampler(ising, clusters=clusters, backend="numpy")
-        descriptors = sampler._cluster_descriptors()
-        spins_ref = np.random.default_rng(44).choice(
-            np.array([-1.0, 1.0]), size=(7, 24))
-        spins_cmp = spins_ref.copy()
-        rng_ref = np.random.default_rng(45)
-        rng_cmp = np.random.default_rng(45)
-        temperatures = schedule(12)
-        for temperature in temperatures:
-            sampler._cluster_sweep(spins_ref, temperature, [rng_ref])
-        backends.cluster_sweep(backend, spins_cmp, sampler.linear,
-                               descriptors[0], temperatures, rng_cmp)
-        np.testing.assert_array_equal(spins_ref, spins_cmp)
 
     def test_machine_run_batch_pack_identical(self, backend):
         """Serving-shaped multi-problem QA packs (embedded chains → cluster

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.ising.model import IsingModel, QUBOModel, bits_to_spins, spins_to_bits
 from repro.metrics.ttb import InstanceSolutionProfile
@@ -200,6 +200,13 @@ class TestMetricsProperties:
 
     @COMMON_SETTINGS
     @given(profile_strategy())
+    # Roundoff regression: the reversed cumsum left the full tail one ulp
+    # under 1, and the 10,000th power pushed the BER below the floor.
+    @example(InstanceSolutionProfile(
+        probabilities=np.array([0.35254674572380823, 0.26441024104205807,
+                                0.24435857831381366, 0.13868443492032015]),
+        bit_errors=np.array([4.0, 4.0, 4.0, 4.0]), num_bits=4,
+        anneal_duration_us=1.0))
     def test_expected_ber_never_below_floor(self, profile):
         assert profile.expected_ber(10_000) >= profile.floor_ber - 1e-12
 
