@@ -138,6 +138,26 @@ def _timed(function, *args, **kwargs):
     return time.perf_counter() - start, result
 
 
+#: Repeats per arm of a paired timing reported as medians.
+PAIR_REPEATS = 5
+
+
+def timed_pair(before, after, repeats: int = PAIR_REPEATS):
+    """Time two zero-argument callables in *repeats* interleaved rounds.
+
+    Rounds alternate the arms (before, after, before, ...) so drift in host
+    speed lands on both.  Returns ``(before_runs_s, after_runs_s,
+    before_result, after_result)`` with the results of the last round.
+    """
+    runs: tuple = ([], [])
+    results = [None, None]
+    for _ in range(repeats):
+        for arm, function in enumerate((before, after)):
+            elapsed, results[arm] = _timed(function)
+            runs[arm].append(elapsed)
+    return runs[0], runs[1], results[0], results[1]
+
+
 def _burn_speed(steps: int) -> float:
     """Steps per second of a pure-Python CPU burn (1000 loop turns a step)."""
     start = time.perf_counter()
@@ -540,7 +560,11 @@ def bench_annealer_engine(num_users: int, num_batches: int,
 
 def bench_frame_decode(num_users: int, num_subcarriers: int,
                        num_anneals: int, seed: int = 0) -> dict:
-    """Serial per-subcarrier QA jobs vs. the packed batched decode."""
+    """Serial per-subcarrier QA jobs vs. the packed batched decode.
+
+    Medians of :data:`PAIR_REPEATS` interleaved runs per side; the per-run
+    lists are kept as ``before_runs_s`` / ``after_runs_s``.
+    """
     from repro.annealer.machine import AnnealerParameters, QuantumAnnealerSimulator
     from repro.decoder.pipeline import OFDMDecodingPipeline
     from repro.decoder.quamax import QuAMaxDecoder
@@ -555,10 +579,11 @@ def bench_frame_decode(num_users: int, num_subcarriers: int,
         AnnealerParameters(num_anneals=num_anneals)))
     # Warm the embedding cache so both paths time pure decode work.
     pipeline.decode_subcarriers(channel_uses[:1], random_state=seed)
-    before_s, serial = _timed(pipeline.decode_subcarriers,
-                              channel_uses, seed)
-    after_s, batched = _timed(pipeline.decode_subcarriers_batched,
-                              channel_uses, seed)
+    before_runs, after_runs, serial, batched = timed_pair(
+        lambda: pipeline.decode_subcarriers(channel_uses, seed),
+        lambda: pipeline.decode_subcarriers_batched(channel_uses, seed))
+    before_s = statistics.median(before_runs)
+    after_s = statistics.median(after_runs)
     identical = all(
         np.array_equal(a.result.detection.bits, b.result.detection.bits)
         for a, b in zip(serial.subcarrier_results, batched.subcarrier_results))
@@ -568,6 +593,8 @@ def bench_frame_decode(num_users: int, num_subcarriers: int,
                    "num_anneals": num_anneals},
         "before_s": before_s,
         "after_s": after_s,
+        "before_runs_s": before_runs,
+        "after_runs_s": after_runs,
         "speedup": before_s / after_s,
         "amortized_before_ms": before_s / num_subcarriers * 1e3,
         "amortized_after_ms": after_s / num_subcarriers * 1e3,

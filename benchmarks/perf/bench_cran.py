@@ -35,9 +35,10 @@ Two measurements over a synthetic Argos-like trace workload:
   identical detections, lower p99 latency and fewer deadline misses.
 * ``cran_trace_overhead`` — the saturating batched load replayed with
   tracing off versus ``tracing=True``: bit-identical detections and
-  identical virtual-clock telemetry, with the wall-clock cost of recording
-  the full lifecycle event stream pinned (the perf-smoke bar holds it to a
-  few percent of throughput).
+  identical virtual-clock telemetry.  Both sides build and fold the full
+  lifecycle event stream, so the pair pins the wall-clock cost of
+  *keeping* it (medians of interleaved repeats; the perf-smoke bar holds
+  it to a few percent of throughput).
 * ``cran_fault_recovery`` — the saturating batched load replayed clean
   versus under a seeded per-pack decode-error :class:`FaultPlan` with
   retries enabled (the rate is set so a handful of the run's packs
@@ -59,9 +60,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import statistics
 import time
 from datetime import datetime, timezone
 from pathlib import Path
+
+from bench_core import timed_pair
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_core.json"
 
@@ -459,11 +463,16 @@ def bench_adaptive_wait(knobs: dict, seed: int = 0) -> dict:
 def bench_trace_overhead(knobs: dict, seed: int = 0) -> dict:
     """Tracing off vs. on over the saturating batched load.
 
-    The recorder is a passive append buffer behind locks the pool already
-    takes, so the overhead should be noise-level; the pair pins it (and the
-    perf-smoke bar enforces ≤ a few percent).  Detections and the virtual
-    event stream are deterministic, so the traced side also reports the
-    event count and the per-job event rate.
+    Every session builds the lifecycle event stream and folds it into its
+    telemetry whether or not tracing is on; ``tracing=True`` only keeps the
+    events for the report.  Both arms therefore build events, and the pair
+    measures only the cost of keeping them — an append behind a lock the
+    pool already takes, so noise-level (the perf-smoke bar enforces ≤ a
+    few percent).  ``before_s`` / ``after_s`` are medians of
+    ``bench_core.PAIR_REPEATS`` interleaved runs per arm, the per-run lists
+    are kept as ``before_runs_s`` / ``after_runs_s``.  Detections and the
+    virtual event stream are deterministic, so the traced side also
+    reports the event count and the per-job event rate.
     """
     import numpy as np
 
@@ -479,8 +488,10 @@ def bench_trace_overhead(knobs: dict, seed: int = 0) -> dict:
                          max_wait_us=knobs["max_wait_us"], tracing=True)
     # Warm the embedding/sampler caches so the pair times steady state.
     untraced.run(jobs[:1])
-    before_s, plain_report = _timed(untraced.run, jobs)
-    after_s, traced_report = _timed(traced.run, jobs)
+    before_runs, after_runs, plain_report, traced_report = timed_pair(
+        lambda: untraced.run(jobs), lambda: traced.run(jobs))
+    before_s = statistics.median(before_runs)
+    after_s = statistics.median(after_runs)
     identical = all(
         np.array_equal(a.result.detection.bits, b.result.detection.bits)
         for a, b in zip(plain_report.results, traced_report.results))
@@ -492,6 +503,8 @@ def bench_trace_overhead(knobs: dict, seed: int = 0) -> dict:
         },
         "before_s": before_s,
         "after_s": after_s,
+        "before_runs_s": before_runs,
+        "after_runs_s": after_runs,
         "jobs_per_s_before": len(jobs) / before_s,
         "jobs_per_s_after": len(jobs) / after_s,
         "speedup": before_s / after_s,

@@ -83,8 +83,9 @@ class TestPerfSmoke:
         # cache removed that rebuild from the serial baseline too, so the
         # batched/serial ratio legitimately re-centred at ~1.3-1.5x (the
         # remaining win is pack-level marshalling and per-job overhead
-        # amortisation).  1.1x is the loud-failure bar; the bit-identity
-        # check above is the structural guard.
+        # amortisation).  1.1x is the loud-failure bar, on the medians of
+        # five interleaved runs per side; the bit-identity check above is
+        # the structural guard.
         assert entry["speedup"] >= 1.1
 
     def test_compiled_backend_escapes_the_interpreter(self, quick_report):
@@ -161,12 +162,9 @@ class TestTracingOverhead:
         # Every lifecycle event was recorded: admit + complete per job,
         # plus the four pack span events amortised over the pack's fill.
         assert entry["events_per_job"] >= 2.0
-        # The acceptance bar: tracing costs at most ~5% throughput.  Both
-        # sides are single-shot wall timings of a seconds-scale replay, so
-        # give one retry before calling an over-bar ratio a regression.
-        if entry["overhead_fraction"] > 0.05:
-            entry = bench_cran.bench_trace_overhead(
-                bench_cran.SCALES["quick"])
+        # The acceptance bar: keeping the event stream costs at most ~5%
+        # throughput, on the medians of five interleaved runs per side.
+        assert len(entry["after_runs_s"]) == 5
         assert entry["overhead_fraction"] <= 0.05
 
 

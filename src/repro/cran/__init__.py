@@ -13,8 +13,8 @@ layer, built on the batched decode substrate underneath it:
 * :mod:`repro.cran.traffic` — :class:`PoissonTrafficGenerator`, Poisson
   frame bursts over a :class:`~repro.channel.trace.ChannelTrace` with mixed
   modulations and per-user SNR;
-* :mod:`repro.cran.telemetry` — :class:`TelemetryRecorder`, rolling
-  throughput, latency percentiles, batch-fill and deadline-miss statistics;
+* :mod:`repro.cran.telemetry` — :class:`TelemetryRecorder`, the fold of
+  the event stream into throughput, latency, batch-fill and fault counters;
 * :mod:`repro.cran.service` — :class:`CranService`, the event loop tying
   them together, its incremental :class:`ServiceSession`, and the
   :class:`ServiceReport`;
@@ -22,7 +22,7 @@ layer, built on the batched decode substrate underneath it:
   admission-controlled front end merging many concurrent cell feeds into
   one session;
 * :mod:`repro.cran.tracing` — :class:`TraceRecorder` / :class:`TraceEvent`,
-  structured per-job lifecycle spans on the serving clock (exporters and
+  the one structured event stream the serving path writes (exporters and
   the breakdown report live in :mod:`repro.obs`);
 * :mod:`repro.cran.faults` — :class:`FaultPlan` / :class:`BrownoutConfig`,
   seeded deterministic fault injection (crashes, decode errors,

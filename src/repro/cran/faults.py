@@ -210,7 +210,6 @@ class BrownoutController:
         self.config = config
         self.active = False
         self.openings = 0
-        self.opened_us: Optional[float] = None
 
     def update(self, now_us: float, queue_depth: int,
                shed_rate: float = 0.0) -> Optional[str]:
@@ -223,11 +222,9 @@ class BrownoutController:
             if trip:
                 self.active = True
                 self.openings += 1
-                self.opened_us = float(now_us)
                 return "open"
         elif queue_depth <= self.config.close_queue_depth:
             self.active = False
-            self.opened_us = None
             return "close"
         return None
 

@@ -51,6 +51,8 @@ from repro.cran.tracing import (
     EVENT_INGRESS_ADMIT,
     EVENT_JOB_RESTAMP,
     EVENT_JOB_SHED,
+    SHED_GATEWAY_FAULT,
+    SHED_INGRESS,
 )
 from repro.cran.workers import OVERLOAD_POLICIES, POLICY_SHED
 from repro.exceptions import SchedulingError
@@ -147,10 +149,7 @@ class IngressGateway:
             while self._over_limit_locked(shard):
                 if self.overload_policy == POLICY_SHED:
                     self._shed.append(job)
-                    self._session.record_event(EVENT_JOB_SHED,
-                                               job.arrival_time_us,
-                                               job_id=job.job_id,
-                                               stage="ingress")
+                    self._record_shed(job, SHED_INGRESS)
                     return False
                 self._space.wait()
                 if self._closing:
@@ -182,6 +181,12 @@ class IngressGateway:
     # ------------------------------------------------------------------ #
     # Dispatcher side
     # ------------------------------------------------------------------ #
+    def _record_shed(self, job: DecodeJob, stage: str) -> None:
+        """Stamp one gateway shed into the session's stream (the telemetry
+        fold leaves gateway stages out of the session's shed counters)."""
+        self._session.record_event(EVENT_JOB_SHED, job.arrival_time_us,
+                                   job_id=job.job_id, stage=stage)
+
     def _pop_earliest_locked(self) -> Optional[DecodeJob]:
         """Pop the globally earliest shard head, ``None`` when all empty."""
         best: Optional[Hashable] = None
@@ -216,10 +221,7 @@ class IngressGateway:
                 # close() surface the original error.
                 with self._lock:
                     self._shed.append(job)
-                self._session.record_event(EVENT_JOB_SHED,
-                                           job.arrival_time_us,
-                                           job_id=job.job_id,
-                                           stage="ingress")
+                self._record_shed(job, SHED_INGRESS)
                 continue
             if (self._faults is not None
                     and self._faults.gateway_fault(job.job_id)):
@@ -228,10 +230,7 @@ class IngressGateway:
                 with self._lock:
                     self._shed.append(job)
                     self._gateway_faults += 1
-                self._session.record_event(EVENT_JOB_SHED,
-                                           job.arrival_time_us,
-                                           job_id=job.job_id,
-                                           stage="gateway_fault")
+                self._record_shed(job, SHED_GATEWAY_FAULT)
                 continue
             clock = self._session.clock_us
             if job.arrival_time_us < clock:
@@ -251,10 +250,7 @@ class IngressGateway:
                 with self._lock:
                     self._error = self._error or error
                     self._shed.append(job)
-                self._session.record_event(EVENT_JOB_SHED,
-                                           job.arrival_time_us,
-                                           job_id=job.job_id,
-                                           stage="ingress")
+                self._record_shed(job, SHED_INGRESS)
             else:
                 with self._lock:
                     self._dispatched += 1

@@ -63,11 +63,6 @@ class DecodeBatch:
         return len(self.jobs)
 
     @property
-    def earliest_deadline_us(self) -> float:
-        """Most urgent deadline among the batch's jobs."""
-        return min(job.deadline_us for job in self.jobs)
-
-    @property
     def job_ids(self) -> Tuple[int, ...]:
         """Member job ids, in the batch's (EDF) packing order."""
         return tuple(job.job_id for job in self.jobs)

@@ -1,4 +1,4 @@
-"""The C-RAN decode service: scheduler + worker pool + telemetry in one loop.
+"""The C-RAN decode service: scheduler, worker pool and event stream in a loop.
 
 :class:`CranService` is the top of the serving stack — the piece that turns
 the library into a simulated base-station processing pool.  It replays an
@@ -6,10 +6,13 @@ offered load (any iterable of :class:`~repro.cran.jobs.DecodeJob`, e.g. from
 :class:`~repro.cran.traffic.PoissonTrafficGenerator`) through an event loop
 on the jobs' virtual clock: each arrival advances the
 :class:`~repro.cran.scheduler.EDFBatchScheduler`, due batches flow into the
-:class:`~repro.cran.workers.WorkerPool`, and the
-:class:`~repro.cran.telemetry.TelemetryRecorder` keeps the serving statistics
-(throughput, latency percentiles, batch fill, deadline misses) the report
-exposes.
+:class:`~repro.cran.workers.WorkerPool`, and everything the session, pool
+and gateway do is appended to one
+:class:`~repro.cran.tracing.TraceRecorder` event stream.  The serving
+statistics the report exposes (throughput, latency percentiles, batch fill,
+deadline misses, faults) are the
+:class:`~repro.cran.telemetry.TelemetryRecorder` fold over that stream,
+read live by the adaptive-wait model and the brownout breaker.
 
 Because every job decodes from its own private stream, the whole service is a
 deterministic function of the offered load — batching and scheduling policy
@@ -35,6 +38,8 @@ from repro.cran.tracing import (
     EVENT_BROWNOUT_CLOSE,
     EVENT_BROWNOUT_OPEN,
     EVENT_JOB_ADMIT,
+    EVENT_JOB_RETRY,
+    EVENT_QUEUE_DEPTH,
     TraceEvent,
     TraceRecorder,
 )
@@ -171,11 +176,12 @@ class ServiceSession:
 
     :meth:`CranService.run` is the batch interface — an iterable in, a report
     out.  A session is the *incremental* interface underneath it (and under
-    the ingress gateway): it owns the run's telemetry recorder, scheduler and
-    worker pool, accepts jobs one at a time in arrival order, and produces
-    the same :class:`ServiceReport` on :meth:`close`.  Feeding a session the
-    jobs of an offered load in arrival order is exactly ``run`` — same
-    scheduling decisions, same detections, same telemetry.
+    the ingress gateway): it owns the run's event stream and the telemetry
+    folded from it, its scheduler and worker pool, accepts jobs one at a
+    time in arrival order, and produces the same :class:`ServiceReport` on
+    :meth:`close`.  Feeding a session the jobs of an offered load in arrival
+    order is exactly ``run`` — same scheduling decisions, same detections,
+    same telemetry.
 
     Sessions are not thread-safe; concurrent producers go through
     :class:`~repro.cran.gateway.IngressGateway`, which serialises submission
@@ -184,8 +190,9 @@ class ServiceSession:
 
     def __init__(self, service: "CranService"):
         self._telemetry = TelemetryRecorder(window=service.telemetry_window)
-        self._trace = (TraceRecorder(wall_time=service.trace_wall_time)
-                       if service.tracing else None)
+        self._trace = TraceRecorder(wall_time=service.trace_wall_time,
+                                    keep=service.tracing,
+                                    fold=self._telemetry)
         # Baseline for per-run hit/miss deltas: the decoder's cache counters
         # are cumulative machine state shared by every run on it.
         try:
@@ -196,7 +203,7 @@ class ServiceSession:
         if (model is not None and service.adaptive_wait
                 and service._decode_time_model is None):
             # Online adaptive wait: observed per-structure pack decode
-            # times (EWMAs via the recorder) refine the analytic model as
+            # times (EWMAs folded from the stream) refine the analytic model as
             # the run progresses; the known per-pack overhead anchors the
             # fixed/per-job split so full-pack observations still predict
             # small pending packs.
@@ -231,7 +238,6 @@ class ServiceSession:
                                 mp_context=service.mp_context,
                                 queue_capacity=service.queue_capacity,
                                 overload_policy=service.overload_policy,
-                                telemetry=self._telemetry,
                                 trace=self._trace,
                                 decoder_factory=service._decoder_factory,
                                 faults=service.fault_plan,
@@ -258,12 +264,12 @@ class ServiceSession:
         return self._report is not None
 
     @property
-    def trace(self) -> Optional[TraceRecorder]:
-        """The session's trace recorder (``None`` when tracing is off)."""
+    def trace(self) -> TraceRecorder:
+        """The session's event stream (it keeps events only when tracing)."""
         return self._trace
 
     def record_event(self, name: str, ts_us: float, **kwargs: Any) -> None:
-        """Stamp one trace event through the pool's lock (no-op untraced).
+        """Stamp one event into the stream through the pool's lock.
 
         The ingress gateway records its admit/shed/re-stamp events here so
         they land in the same serialised stream as the pool's own.
@@ -273,22 +279,20 @@ class ServiceSession:
     # ------------------------------------------------------------------ #
     def submit(self, job: DecodeJob) -> None:
         """Feed one job; jobs must arrive in (arrival time, id) order."""
-        if self._trace is not None:
-            attrs: Dict[str, Any] = {"structure": "%dx%d/%s"
-                                     % job.structure_key}
-            # Unbounded deadlines stay out of the attrs: `inf` is as
-            # JSON-hostile as the NaNs the telemetry snapshot used to emit.
-            if math.isfinite(job.deadline_us):
-                attrs["deadline_us"] = job.deadline_us
-            self._pool.record_event(EVENT_JOB_ADMIT, job.arrival_time_us,
-                                    job_id=job.job_id, **attrs)
+        attrs: Dict[str, Any] = {"structure": "%dx%d/%s" % job.structure_key}
+        # Unbounded deadlines stay out of the attrs: `inf` is as
+        # JSON-hostile as the NaNs the telemetry snapshot used to emit.
+        if math.isfinite(job.deadline_us):
+            attrs["deadline_us"] = job.deadline_us
+        self._pool.record_event(EVENT_JOB_ADMIT, job.arrival_time_us,
+                                job_id=job.job_id, **attrs)
         try:
             if self._brownout is not None and self._brownout_shed(job):
                 return
             for batch in self._scheduler.submit(job):
                 self._pool.submit(batch)
-            self._pool.record_queue_depth(job.arrival_time_us,
-                                          self._scheduler.queue_depth)
+            self._pool.record_event(EVENT_QUEUE_DEPTH, job.arrival_time_us,
+                                    depth=self._scheduler.queue_depth)
             if self._fault_tolerant and not self._pool.num_workers:
                 # Inline pools fail synchronously, so the retry layer runs
                 # per submission — this is what keeps inline fault runs a
@@ -307,7 +311,6 @@ class ServiceSession:
             now_us, queue_depth=self._scheduler.queue_depth,
             shed_rate=self._telemetry.shed_rate())
         if transition is not None:
-            self._pool.record_brownout(transition)
             self._pool.record_event(
                 EVENT_BROWNOUT_OPEN if transition == "open"
                 else EVENT_BROWNOUT_CLOSE,
@@ -355,8 +358,9 @@ class ServiceSession:
                     continue
                 retry = replace(job, arrival_time_us=now_us,
                                 retries=job.retries + 1)
-                self._pool.record_retry(retry, now_us, attempt=retry.retries,
-                                        stage=stage)
+                self._pool.record_event(EVENT_JOB_RETRY, now_us,
+                                        job_id=job.job_id,
+                                        attempt=retry.retries, stage=stage)
                 resubmitted += 1
                 for flushed in self._scheduler.submit(retry):
                     self._pool.submit(flushed)
@@ -378,8 +382,8 @@ class ServiceSession:
                 for batch in self._scheduler.drain():
                     pending -= batch.size
                     self._pool.submit(batch)
-                    self._pool.record_queue_depth(batch.flush_time_us,
-                                                  pending)
+                    self._pool.record_event(EVENT_QUEUE_DEPTH,
+                                            batch.flush_time_us, depth=pending)
                 if not self._fault_tolerant:
                     break
                 # Concurrent pools report failures asynchronously: wait for
@@ -408,7 +412,7 @@ class ServiceSession:
             shed_jobs=self._pool.shed_jobs,
             telemetry=telemetry,
             wall_time_s=wall_time_s,
-            trace=self._trace.events() if self._trace is not None else None,
+            trace=self._trace.events() if self._trace.keep else None,
         )
         return self._report
 
@@ -469,11 +473,14 @@ class CranService:
     telemetry_window:
         Rolling window of the latency percentiles (``None`` = all jobs).
     tracing:
-        When true, every session records per-job lifecycle spans into a
-        :class:`~repro.cran.tracing.TraceRecorder` and the report carries
-        the event stream in :attr:`ServiceReport.trace`.  Traces live on
-        the virtual clock, so with an inline pool they are bit-deterministic
-        and decode results are identical with tracing on or off.
+        Every session records per-job lifecycle events into one
+        :class:`~repro.cran.tracing.TraceRecorder` stream and folds them
+        into its telemetry whether or not tracing is on.  When true, the
+        stream also keeps its events and the report carries them in
+        :attr:`ServiceReport.trace`; off, the stream holds none in memory.
+        Traces live on the virtual clock, so with an inline pool they are
+        bit-deterministic, and decode results and telemetry are identical
+        with tracing on or off.
     trace_wall_time:
         Additionally annotate ``pack.complete`` events with wall decode
         seconds.  Off by default — wall values vary run to run, so they

@@ -1,28 +1,45 @@
-"""Serving telemetry: throughput, latency percentiles, batch fill, deadlines.
+"""Serving telemetry: a fold over the serving path's event stream.
 
-Production serving layers live or die by their observability; this module
-keeps the counters every other piece of the C-RAN subsystem reports into.
-All series are kept on the service's virtual clock (µs), matching the
-annealer's time accounting, and latency tracking can be windowed so a
-long-running service reports *rolling* percentiles rather than
-since-the-beginning averages.
+The pool, the session and the gateway record nothing here directly: they
+append events to the session's :class:`~repro.cran.tracing.TraceRecorder`,
+and this module folds each event into throughput, latency percentiles,
+batch fill, deadline, backlog and fault counters as it is appended.  So
+the telemetry snapshot is, by construction, what the event stream says —
+folding a kept stream (``ServiceReport.trace``) into a fresh recorder
+reproduces the report's telemetry.  All series are kept on the service's
+virtual clock (µs), matching the annealer's time accounting, and latency
+tracking can be windowed so a long-running service reports *rolling*
+percentiles rather than since-the-beginning averages.
 
-The recorder is deliberately passive — pure appends, no locks of its own —
-so snapshots are cheap and deterministic.  Callers serialise:
-:class:`~repro.cran.workers.WorkerPool` takes its result lock for *all*
-recording, including queue-depth samples forwarded through
-:meth:`~repro.cran.workers.WorkerPool.record_queue_depth`.
+The recorder is deliberately passive — no locks of its own — so snapshots
+are cheap and deterministic.  The stream's callers serialise: every append,
+and with it every fold step, happens under the
+:class:`~repro.cran.workers.WorkerPool` lock.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cran.jobs import DecodeJob, JobResult
+from repro.cran.tracing import (
+    EVENT_BROWNOUT_OPEN,
+    EVENT_JOB_COMPLETE,
+    EVENT_JOB_RETRY,
+    EVENT_JOB_SHED,
+    EVENT_PACK_COMPLETE,
+    EVENT_PACK_DISPATCH,
+    EVENT_PACK_FAILED,
+    EVENT_PACK_FLUSH,
+    EVENT_PACK_START,
+    EVENT_QUEUE_DEPTH,
+    EVENT_WORKER_RESTART,
+    GATEWAY_SHED_STAGES,
+    TraceEvent,
+)
 from repro.utils.validation import check_integer_in_range
 
 #: Percentiles reported by default in latency summaries.
@@ -46,6 +63,13 @@ class LatencySummary:
 
     def __getitem__(self, q: float) -> float:
         return self.percentiles_us[q]
+
+
+def _structure_key(label: str) -> Tuple[int, int, str]:
+    """``"2x4/QPSK"`` (a pack's ``structure`` attr) -> ``(2, 4, "QPSK")``."""
+    shape, modulation = label.split("/", 1)
+    num_tx, num_rx = shape.split("x")
+    return int(num_tx), int(num_rx), modulation
 
 
 class TelemetryRecorder:
@@ -99,80 +123,98 @@ class TelemetryRecorder:
         self.brownout_openings = 0
         self._shed_stages: Counter = Counter()
         self._faults_injected: Counter = Counter()
+        #: Flushed packs not yet completed, failed or shed, by pack id: the
+        #: ``pack.flush`` event, the pickup stamp and the members still due.
+        self._open_packs: Dict[int, Dict[str, Any]] = {}
 
     # ------------------------------------------------------------------ #
-    # Recording
+    # Folding
     # ------------------------------------------------------------------ #
-    def record_batch(self, results: Sequence[JobResult]) -> None:
-        """Record one decoded batch's worth of job results."""
-        if not results:
-            return
+    def record_batch(self, events: Sequence[TraceEvent]) -> None:
+        """Fold stream events into the counters, in order.
+
+        The recorder's only input.  The stream calls it once per credited
+        pack (``pack.start``, ``pack.complete`` and one ``job.complete``
+        per member) and once per event otherwise; any split of the same
+        sequence folds to the same state.  Events the telemetry does not
+        count (``job.admit``, ``ingress.admit``, ...) pass through.
+        """
+        for event in events:
+            name, attrs = event.name, event.attrs
+            if name == EVENT_JOB_COMPLETE:
+                self._fold_job_complete(event)
+            elif name == EVENT_PACK_FLUSH:
+                self._open_packs[event.pack_id] = {
+                    "flush": event, "start_us": None, "left": attrs["size"]}
+            elif name == EVENT_PACK_START:
+                self._open_packs[event.pack_id]["start_us"] = event.ts_us
+            elif name == EVENT_PACK_COMPLETE:
+                self._fold_pack_complete(event)
+            elif name == EVENT_QUEUE_DEPTH:
+                self._queue_depth_samples.append(
+                    (event.ts_us, int(attrs["depth"])))
+            elif name == EVENT_PACK_DISPATCH:
+                # The fault the plan assigns to this pack, counted whichever
+                # mode actually hits it.
+                if "fault" in attrs:
+                    self._faults_injected[attrs["fault"]] += 1
+            elif name == EVENT_JOB_SHED:
+                self._open_packs.pop(event.pack_id, None)
+                stage = attrs.get("stage")
+                if stage not in GATEWAY_SHED_STAGES:
+                    self.jobs_shed += 1
+                    if stage is not None:
+                        self._shed_stages[stage] += 1
+            elif name == EVENT_PACK_FAILED:
+                self._open_packs.pop(event.pack_id, None)
+                self.packs_failed += 1
+                self.pack_failed_jobs += len(attrs["job_ids"])
+            elif name == EVENT_JOB_RETRY:
+                self.jobs_retried += 1
+            elif name == EVENT_WORKER_RESTART:
+                self.worker_restarts += 1
+            elif name == EVENT_BROWNOUT_OPEN:
+                self.brownout_openings += 1
+
+    def _fold_pack_complete(self, event: TraceEvent) -> None:
+        """Batch fill, flush reason and one observation of the online
+        decode-time model — counted at completion, never for shed packs
+        (all members share one start/finish)."""
+        pack = self._open_packs[event.pack_id]
+        flush = pack["flush"]
+        size = len(event.attrs["job_ids"])
         self.batches_decoded += 1
-        self._batch_fill[len(results)] += 1
-        self._flush_reasons[results[0].flush_reason] += 1
-        # Feed the online decode-time model: one observation of this pack's
-        # service time and size (all members share one start/finish).
-        first = results[0]
-        key = first.job.structure_key
-        service_us = first.finish_time_us - first.start_time_us
-        size = float(len(results))
+        self._batch_fill[size] += 1
+        self._flush_reasons[flush.attrs["reason"]] += 1
+        key = _structure_key(flush.attrs["structure"])
+        service_us = event.ts_us - pack["start_us"]
         alpha = self.decode_time_alpha
         previous = self._decode_service_ewma_us.get(key)
         if previous is None:
             self._decode_service_ewma_us[key] = service_us
-            self._decode_size_ewma[key] = size
+            self._decode_size_ewma[key] = float(size)
         else:
             self._decode_service_ewma_us[key] = (
                 (1.0 - alpha) * previous + alpha * service_us)
             self._decode_size_ewma[key] = (
                 (1.0 - alpha) * self._decode_size_ewma[key] + alpha * size)
         self._decode_time_samples[key] += 1
-        for result in results:
-            self.jobs_completed += 1
-            self._latencies_us.append(result.latency_us)
-            self._queue_delays_us.append(result.queue_delay_us)
-            if not result.deadline_met:
-                self.deadline_misses += 1
-            arrival = result.job.arrival_time_us
-            if (self._first_arrival_us is None
-                    or arrival < self._first_arrival_us):
-                self._first_arrival_us = arrival
-            self._last_finish_us = max(self._last_finish_us,
-                                       result.finish_time_us)
 
-    def record_shed(self, jobs: Iterable[DecodeJob],
-                    stage: Optional[str] = None) -> None:
-        """Record jobs dropped by the overload/fault-tolerance policy."""
-        count = sum(1 for _ in jobs)
-        self.jobs_shed += count
-        if stage is not None and count:
-            self._shed_stages[stage] += count
-
-    def record_queue_depth(self, now_us: float, depth: int) -> None:
-        """Sample the scheduler's pending-job count at *now_us*."""
-        self._queue_depth_samples.append((float(now_us), int(depth)))
-
-    def record_pack_failed(self, num_jobs: int) -> None:
-        """Record one failed pack handed to the retry layer."""
-        self.packs_failed += 1
-        self.pack_failed_jobs += int(num_jobs)
-
-    def record_retry(self) -> None:
-        """Record one job requeued after a pack failure."""
-        self.jobs_retried += 1
-
-    def record_worker_restart(self) -> None:
-        """Record supervision respawning a dead worker."""
-        self.worker_restarts += 1
-
-    def record_fault(self, kind: str) -> None:
-        """Record one injected fault, by kind (parent-side accounting)."""
-        self._faults_injected[kind] += 1
-
-    def record_brownout(self, transition: str) -> None:
-        """Record a brownout breaker transition (``open`` / ``close``)."""
-        if transition == "open":
-            self.brownout_openings += 1
+    def _fold_job_complete(self, event: TraceEvent) -> None:
+        """One completed job, accounted against its ``arrival_us``."""
+        pack = self._open_packs[event.pack_id]
+        arrival = event.attrs["arrival_us"]
+        self.jobs_completed += 1
+        self._latencies_us.append(event.ts_us - arrival)
+        self._queue_delays_us.append(pack["flush"].ts_us - arrival)
+        if not event.attrs["deadline_met"]:
+            self.deadline_misses += 1
+        if self._first_arrival_us is None or arrival < self._first_arrival_us:
+            self._first_arrival_us = arrival
+        self._last_finish_us = max(self._last_finish_us, event.ts_us)
+        pack["left"] -= 1
+        if not pack["left"]:
+            del self._open_packs[event.pack_id]
 
     # ------------------------------------------------------------------ #
     # Reporting
@@ -225,11 +267,6 @@ class TelemetryRecorder:
     def batch_fill_histogram(self) -> Dict[int, int]:
         """``{batch size: count}`` over all decoded batches."""
         return dict(sorted(self._batch_fill.items()))
-
-    @property
-    def flush_reason_counts(self) -> Dict[str, int]:
-        """``{flush reason: batch count}`` (full / timeout / drain)."""
-        return dict(sorted(self._flush_reasons.items()))
 
     def mean_batch_fill(self) -> float:
         """Average jobs per decoded batch."""
@@ -293,7 +330,7 @@ class TelemetryRecorder:
             "batches_decoded": self.batches_decoded,
             "mean_batch_fill": self.mean_batch_fill(),
             "batch_fill_histogram": self.batch_fill_histogram,
-            "flush_reasons": self.flush_reason_counts,
+            "flush_reasons": dict(sorted(self._flush_reasons.items())),
             "deadline_misses": self.deadline_misses,
             "deadline_miss_rate": self.deadline_miss_rate(),
             "throughput_jobs_per_s": self.throughput_jobs_per_s(),

@@ -1,8 +1,6 @@
-"""Structured per-job tracing of the C-RAN serving path.
+"""The serving path's event stream: the one record of what the service did.
 
-The telemetry layer answers "how is the service doing?" in aggregate; this
-module answers "where did *this* job's 145 ms go?".  A
-:class:`TraceRecorder` collects append-only structured events on the
+A :class:`TraceRecorder` collects append-only structured events on the
 service's virtual µs clock — the same clock the scheduler and the worker
 pool's accounting run on — covering the full lifecycle of every job::
 
@@ -10,24 +8,30 @@ pool's accounting run on — covering the full lifecycle of every job::
         -> pack.start (worker pickup) -> pack.complete -> job.complete
     (or job.shed anywhere along the way)
 
+plus ``queue.depth`` backlog samples and the fault-tolerance events.  The
+pool, the session and the gateway write nothing else: the serving
+telemetry (:class:`~repro.cran.telemetry.TelemetryRecorder`) is a fold over
+this stream, updated from each event as it is appended.  Whether the
+stream also *keeps* its events (``CranService(tracing=True)``) is the only
+thing tracing switches; a stream that does not keep them holds none in
+memory.
+
 Pack-level events link their member jobs (``job_ids`` in the attrs), so a
 pack span covers exactly the jobs that rode in it, and per-job stage sums
 reconstruct the recorded end-to-end latency exactly:
 
-``queue`` (admit → flush) + ``dispatch`` (flush → virtual-machine pickup)
+``queue`` (arrival → flush) + ``dispatch`` (flush → virtual-machine pickup)
 + ``overhead`` (the pack's shared per-job QA overhead) + ``anneal`` (the
 pack's amortised compute) = ``finish − arrival`` = the job's latency.
 
-The recorder follows the same no-locks discipline as
-:class:`~repro.cran.telemetry.TelemetryRecorder`: it is a passive append
-buffer, and callers serialise through the existing
-:class:`~repro.cran.workers.WorkerPool` result lock (the gateway and the
-session both record through the pool).  With an inline pool the event
-stream is a bit-deterministic function of the offered load — events carry
-only virtual timestamps and submission-order ids.  Wall-clock annotations
-(pack decode seconds, worker-side profiling deltas shipped back across the
-process-pool boundary) are attached only when the recorder is constructed
-with ``wall_time=True``, keeping the default trace replay-identical.
+The recorder has no locks of its own: callers serialise through the
+:class:`~repro.cran.workers.WorkerPool` lock (the gateway and the session
+both record through the pool), which also serialises the fold.  With an
+inline pool the event stream is a bit-deterministic function of the
+offered load — events carry only virtual timestamps and submission-order
+ids.  Wall-clock annotations (pack decode seconds) are attached only when
+the recorder is constructed with ``wall_time=True``, keeping the default
+trace replay-identical.
 
 Exporters (Chrome trace JSON for Perfetto, JSONL, Prometheus text metrics)
 and the per-stage breakdown report live in :mod:`repro.obs`.
@@ -37,7 +41,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+
+if TYPE_CHECKING:
+    from repro.cran.telemetry import TelemetryRecorder
 
 __all__ = [
     "EVENT_INGRESS_ADMIT",
@@ -54,6 +61,8 @@ __all__ = [
     "EVENT_WORKER_RESTART",
     "EVENT_BROWNOUT_OPEN",
     "EVENT_BROWNOUT_CLOSE",
+    "EVENT_QUEUE_DEPTH",
+    "GATEWAY_SHED_STAGES",
     "JOB_STAGES",
     "TraceEvent",
     "TraceRecorder",
@@ -86,6 +95,16 @@ EVENT_PACK_FAILED = "pack.failed"
 EVENT_WORKER_RESTART = "worker.restart"
 EVENT_BROWNOUT_OPEN = "brownout.open"
 EVENT_BROWNOUT_CLOSE = "brownout.close"
+
+#: A sample of the scheduler backlog (``depth`` attr), taken after every
+#: admission and after every drain flush.
+EVENT_QUEUE_DEPTH = "queue.depth"
+
+#: Shed stages of the ingress gateway.  Those jobs never reached the
+#: session, so the telemetry fold leaves them out of ``jobs_shed``.
+SHED_INGRESS = "ingress"
+SHED_GATEWAY_FAULT = "gateway_fault"
+GATEWAY_SHED_STAGES = (SHED_INGRESS, SHED_GATEWAY_FAULT)
 
 #: Per-job latency stages, in lifecycle order.  Their sum is the job's
 #: end-to-end latency (finish − arrival) by construction.
@@ -141,25 +160,35 @@ class TraceEvent:
 
 
 class TraceRecorder:
-    """Append-only buffer of :class:`TraceEvent` — passive, no locks.
+    """The append-only event stream, folded into telemetry on append.
 
-    Callers serialise recording exactly as they do for
-    :class:`~repro.cran.telemetry.TelemetryRecorder`: everything goes
-    through the worker pool's result lock
-    (:meth:`~repro.cran.workers.WorkerPool.record_event` and the pool's own
-    internal recording).
+    Passive, no locks: callers serialise every append through the worker
+    pool's lock (:meth:`~repro.cran.workers.WorkerPool.record_event` and
+    the pool's own recording).
 
     Parameters
     ----------
     wall_time:
-        When true, wall-clock annotations (pack decode seconds, worker-side
-        profiling deltas) are attached to ``pack.complete`` events.  Off by
-        default so that inline-mode traces are bit-deterministic functions
-        of the offered load.
+        When true, wall-clock decode seconds are attached to
+        ``pack.complete`` events.  Off by default so that inline-mode
+        traces are bit-deterministic functions of the offered load.
+    keep:
+        Whether the stream keeps its events for :meth:`events` (what
+        ``CranService(tracing=True)`` sets).  A stream that does not keep
+        them only folds them, so unbounded sessions stay bounded.
+    fold:
+        The :class:`~repro.cran.telemetry.TelemetryRecorder` every appended
+        event is folded into; a fresh one when omitted.
     """
 
-    def __init__(self, wall_time: bool = False):
+    def __init__(self, wall_time: bool = False, *, keep: bool = True,
+                 fold: Optional["TelemetryRecorder"] = None):
+        if fold is None:
+            from repro.cran.telemetry import TelemetryRecorder
+            fold = TelemetryRecorder()
         self.wall_time = bool(wall_time)
+        self.keep = bool(keep)
+        self.fold = fold
         self._events: List[TraceEvent] = []
 
     # ------------------------------------------------------------------ #
@@ -169,17 +198,19 @@ class TraceRecorder:
                worker: Optional[int] = None,
                **attrs: Any) -> None:
         """Append one event (caller holds whatever lock serialises us)."""
-        self._events.append(TraceEvent(name=name, ts_us=float(ts_us),
-                                       job_id=job_id, pack_id=pack_id,
-                                       worker=worker, attrs=attrs))
+        self.extend((TraceEvent(name=name, ts_us=float(ts_us),
+                                job_id=job_id, pack_id=pack_id,
+                                worker=worker, attrs=attrs),))
 
-    def extend(self, events: Iterable[TraceEvent]) -> None:
-        """Append pre-built events (e.g. a buffer shipped from a worker)."""
-        self._events.extend(events)
+    def extend(self, events: Sequence[TraceEvent]) -> None:
+        """Append a group of events, folded into the telemetry together."""
+        self.fold.record_batch(events)
+        if self.keep:
+            self._events.extend(events)
 
     # ------------------------------------------------------------------ #
     def events(self) -> Tuple[TraceEvent, ...]:
-        """Everything recorded so far, in append order."""
+        """Everything kept so far, in append order."""
         return tuple(self._events)
 
     def __len__(self) -> int:
@@ -187,7 +218,7 @@ class TraceRecorder:
 
     def __repr__(self) -> str:
         return (f"TraceRecorder(events={len(self._events)}, "
-                f"wall_time={self.wall_time})")
+                f"keep={self.keep}, wall_time={self.wall_time})")
 
 
 # --------------------------------------------------------------------------- #
@@ -200,6 +231,9 @@ class JobTimeline:
 
     job_id: int
     admit_us: Optional[float] = None
+    #: The arrival the job's latency is accounted against: its admission,
+    #: or the re-stamped arrival of a retried job (from ``job.complete``).
+    arrival_us: Optional[float] = None
     flush_us: Optional[float] = None
     start_us: Optional[float] = None
     finish_us: Optional[float] = None
@@ -229,9 +263,9 @@ class JobTimeline:
     @property
     def latency_us(self) -> Optional[float]:
         """End-to-end latency (µs), ``None`` unless completed."""
-        if self.finish_us is None or self.admit_us is None:
+        if self.finish_us is None or self.arrival_us is None:
             return None
-        return self.finish_us - self.admit_us
+        return self.finish_us - self.arrival_us
 
     def stages_us(self) -> Optional[Dict[str, float]]:
         """Per-stage latency split (see :data:`JOB_STAGES`).
@@ -240,14 +274,14 @@ class JobTimeline:
         up to accounting rounding; ``None`` unless the job completed with a
         full span chain.
         """
-        if (self.admit_us is None or self.flush_us is None
+        if (self.arrival_us is None or self.flush_us is None
                 or self.start_us is None or self.finish_us is None
                 or self.overhead_us is None):
             return None
         service_us = self.finish_us - self.start_us
         overhead = min(self.overhead_us, service_us)
         return {
-            "queue": self.flush_us - self.admit_us,
+            "queue": self.flush_us - self.arrival_us,
             "dispatch": self.start_us - self.flush_us,
             "overhead": overhead,
             "anneal": service_us - overhead,
@@ -273,7 +307,7 @@ def job_timelines(events: Sequence[TraceEvent]) -> Dict[int, JobTimeline]:
     for event in events:
         if event.name == EVENT_JOB_ADMIT:
             entry = timeline(event.job_id)
-            entry.admit_us = event.ts_us
+            entry.admit_us = entry.arrival_us = event.ts_us
             entry.admit_count += 1
             deadline = event.attrs.get("deadline_us")
             if deadline is not None:
@@ -300,6 +334,8 @@ def job_timelines(events: Sequence[TraceEvent]) -> Dict[int, JobTimeline]:
         elif event.name == EVENT_JOB_COMPLETE:
             entry = timeline(event.job_id)
             entry.finish_us = event.ts_us
+            entry.arrival_us = event.attrs.get("arrival_us",
+                                               entry.arrival_us)
             entry.complete_count += 1
             if "deadline_met" in event.attrs:
                 entry.deadline_met = bool(event.attrs["deadline_met"])

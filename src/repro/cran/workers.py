@@ -83,7 +83,6 @@ from repro.cran.scheduler import DecodeBatch
 from repro.cran.telemetry import TelemetryRecorder
 from repro.cran.tracing import (
     EVENT_JOB_COMPLETE,
-    EVENT_JOB_RETRY,
     EVENT_JOB_SHED,
     EVENT_PACK_COMPLETE,
     EVENT_PACK_DISPATCH,
@@ -91,6 +90,7 @@ from repro.cran.tracing import (
     EVENT_PACK_FLUSH,
     EVENT_PACK_START,
     EVENT_WORKER_RESTART,
+    TraceEvent,
     TraceRecorder,
 )
 from repro.annealer.backends import openmp_teams_run
@@ -356,17 +356,16 @@ class WorkerPool:
     overload_policy:
         ``"block"`` stalls :meth:`submit` until space frees up; ``"shed"``
         drops the offered batch and records its jobs as shed.
-    telemetry:
-        Recorder the pool reports completed batches and shed jobs into; a
-        private one is created when omitted.
     trace:
-        Optional :class:`~repro.cran.tracing.TraceRecorder` the pool stamps
-        pack/job lifecycle events into (flush, dispatch, worker pickup,
-        completion, sheds) on the same virtual clock as the accounting.
-        The recorder is passive; the pool's own lock serialises every
-        append, and producers record their events through
-        :meth:`record_event` for the same reason.  ``None`` (default)
-        disables tracing at zero cost.
+        The :class:`~repro.cran.tracing.TraceRecorder` event stream the
+        pool writes everything into — pack/job lifecycle events (flush,
+        dispatch, worker pickup, completion, sheds, failures, restarts) on
+        the same virtual clock as the accounting.  The stream folds each
+        event into its telemetry, which :attr:`telemetry` exposes.  The
+        recorder is passive; the pool's own lock serialises every append,
+        and producers record their events through :meth:`record_event` for
+        the same reason.  ``None`` (default) uses a private stream that
+        keeps no events.
     decoder_factory:
         Optional zero-argument callable building one decoder per worker
         thread (e.g. to give each worker its own annealer instance).
@@ -411,7 +410,6 @@ class WorkerPool:
                  mp_context: Optional[str] = None,
                  queue_capacity: int = 16,
                  overload_policy: str = POLICY_BLOCK,
-                 telemetry: Optional[TelemetryRecorder] = None,
                  trace: Optional[TraceRecorder] = None,
                  decoder_factory: Optional[Callable[[], QuAMaxDecoder]] = None,
                  autostart: bool = True,
@@ -435,8 +433,8 @@ class WorkerPool:
         self.overload_policy = overload_policy
         self.decoder = decoder or QuAMaxDecoder()
         self._decoder_factory = decoder_factory
-        self.telemetry = telemetry if telemetry is not None \
-            else TelemetryRecorder()
+        if trace is None:
+            trace = TraceRecorder(keep=False)
         self.trace = trace
         self.faults = faults
         self.restart_budget = check_integer_in_range(
@@ -629,22 +627,20 @@ class WorkerPool:
         with self._lock:
             index = self._next_submit
             self._next_submit += 1
-            if self.faults is not None:
-                # Parent-side accounting of the fault the plan *assigns* to
-                # this submission index — recomputed here (one draw, keyed
-                # by index) so the injected-fault telemetry is identical
-                # whichever mode actually hits the fault.
-                assigned = self.faults.pack_fault(index)
-                if assigned is not None:
-                    self.telemetry.record_fault(assigned.kind)
-            if self.trace is not None:
-                self.trace.record(
-                    EVENT_PACK_FLUSH, batch.flush_time_us, pack_id=index,
-                    reason=batch.reason, size=batch.size,
-                    structure=batch.structure_label,
-                    job_ids=list(batch.job_ids))
-                self.trace.record(EVENT_PACK_DISPATCH, batch.flush_time_us,
-                                  pack_id=index)
+            self.trace.record(
+                EVENT_PACK_FLUSH, batch.flush_time_us, pack_id=index,
+                reason=batch.reason, size=batch.size,
+                structure=batch.structure_label,
+                job_ids=list(batch.job_ids))
+            # Parent-side record of the fault the plan *assigns* to this
+            # submission index — recomputed here (one draw, keyed by index)
+            # so the injected-fault telemetry is identical whichever mode
+            # actually hits the fault.
+            assigned = (self.faults.pack_fault(index)
+                        if self.faults is not None else None)
+            fault = {} if assigned is None else {"fault": assigned.kind}
+            self.trace.record(EVENT_PACK_DISPATCH, batch.flush_time_us,
+                              pack_id=index, **fault)
         if self.num_workers and self.mode == MODE_PROCESS:
             return self._submit_process(index, batch)
         if not self.num_workers:
@@ -653,9 +649,7 @@ class WorkerPool:
             except InjectedFault as error:
                 if not self.collect_failures:
                     with self._lock:
-                        self._decoded[index] = None
-                        self._credit_ready_locked()
-                        self._record_shed_locked(batch, index, "decode_error")
+                        self._shed_slot_locked(batch, index, "decode_error")
                     raise
                 stage = (FAULT_CRASH if isinstance(error, WorkerCrash)
                          else FAULT_DECODE_ERROR)
@@ -666,17 +660,13 @@ class WorkerPool:
                 # Free the submission slot so later batches still credit if
                 # the caller treats the failure as transient and keeps going.
                 with self._lock:
-                    self._decoded[index] = None
-                    self._credit_ready_locked()
-                    self._record_shed_locked(batch, index, "decode_error")
+                    self._shed_slot_locked(batch, index, "decode_error")
                 raise
             return True
         with self._not_full:
             if self._pending >= self.queue_capacity:
                 if self.overload_policy == POLICY_SHED:
-                    self._decoded[index] = None
-                    self._credit_ready_locked()
-                    self._record_shed_locked(batch, index, "pool")
+                    self._shed_slot_locked(batch, index, "pool")
                     return False
                 if not self._started:
                     # A blocking wait with no running consumer would
@@ -704,9 +694,7 @@ class WorkerPool:
                 while self._inflight >= self.queue_capacity:
                     self._space.wait()
             elif self._inflight >= self.queue_capacity:
-                self._decoded[index] = None
-                self._credit_ready_locked()
-                self._record_shed_locked(batch, index, "pool")
+                self._shed_slot_locked(batch, index, "pool")
                 return False
             self._inflight += 1
         self._pool.apply_async(
@@ -746,9 +734,7 @@ class WorkerPool:
                     batch, index, FAULT_CRASH if crash else FAULT_DECODE_ERROR)
             else:
                 self._errors.append(error)
-                self._decoded[index] = None
-                self._credit_ready_locked()
-                self._record_shed_locked(batch, index, "process_error")
+                self._shed_slot_locked(batch, index, "process_error")
             if crash:
                 # The multiprocessing pool maintains its own worker set
                 # through deaths; the budget/trace accounting here mirrors
@@ -757,46 +743,38 @@ class WorkerPool:
             self._inflight -= 1
             self._space.notify_all()
 
-    def record_queue_depth(self, now_us: float, depth: int) -> None:
-        """Sample the scheduler backlog into this pool's telemetry.
-
-        Producers must record through here rather than on the recorder
-        directly: the pool's lock serialises the sample against the worker
-        threads' batch/shed recording (the recorder itself is lock-free).
-        """
-        with self._lock:
-            self.telemetry.record_queue_depth(now_us, depth)
-
     def record_event(self, name: str, ts_us: float, *,
                      job_id: Optional[int] = None,
                      pack_id: Optional[int] = None,
                      worker: Optional[int] = None,
                      **attrs: Any) -> None:
-        """Record one trace event under the pool lock (no-op untraced).
+        """Record one event into the stream under the pool lock.
 
-        Producers (session, ingress gateway) stamp their own lifecycle
-        events — ``job.admit``, ``ingress.admit``, ``job.restamp``,
-        gateway-level ``job.shed`` — through here so the append is
-        serialised against the workers' recording, exactly like
-        :meth:`record_queue_depth`.
+        Producers (session, ingress gateway) stamp their own events —
+        ``job.admit``, ``queue.depth``, ``job.retry``, ``brownout.*``,
+        ``ingress.admit``, ``job.restamp``, gateway-level ``job.shed`` —
+        through here so the append, and the telemetry fold it drives, is
+        serialised against the workers' recording.
         """
-        if self.trace is None:
-            return
         with self._lock:
             self.trace.record(name, ts_us, job_id=job_id, pack_id=pack_id,
                               worker=worker, **attrs)
 
     def _record_shed_locked(self, batch: DecodeBatch, index: int,
                             stage: str) -> None:
-        """Account one dropped batch (lock held): shed list, telemetry,
-        and a ``job.shed`` trace event per member."""
+        """Account one dropped batch (lock held): shed list and a
+        ``job.shed`` event per member."""
         self._shed_jobs.extend(batch.jobs)
-        self.telemetry.record_shed(batch.jobs, stage=stage)
-        if self.trace is not None:
-            for job in batch.jobs:
-                self.trace.record(EVENT_JOB_SHED, batch.flush_time_us,
-                                  job_id=job.job_id, pack_id=index,
-                                  stage=stage)
+        for job in batch.jobs:
+            self.trace.record(EVENT_JOB_SHED, batch.flush_time_us,
+                              job_id=job.job_id, pack_id=index, stage=stage)
+
+    def _shed_slot_locked(self, batch: DecodeBatch, index: int,
+                          stage: str) -> None:
+        """Credit submission slot *index* as empty and shed its batch."""
+        self._decoded[index] = None
+        self._credit_ready_locked()
+        self._record_shed_locked(batch, index, stage)
 
     def _record_failed_locked(self, batch: DecodeBatch, index: int,
                               stage: str) -> None:
@@ -810,28 +788,24 @@ class WorkerPool:
         self._decoded[index] = None
         self._credit_ready_locked()
         self._failed.append((index, batch, stage))
-        self.telemetry.record_pack_failed(batch.size)
-        if self.trace is not None:
-            self.trace.record(EVENT_PACK_FAILED, batch.flush_time_us,
-                              pack_id=index, stage=stage,
-                              job_ids=list(batch.job_ids))
+        self.trace.record(EVENT_PACK_FAILED, batch.flush_time_us,
+                          pack_id=index, stage=stage,
+                          job_ids=list(batch.job_ids))
 
     def _note_restart_locked(self, batch: DecodeBatch, index: int,
                              worker: Optional[int]) -> bool:
         """Spend one restart-budget slot on a dead worker (lock held).
 
         Returns whether supervision may respawn (budget not exhausted);
-        records the restart in telemetry and as a ``worker.restart`` trace
-        event stamped at the failing pack's flush time.
+        records the restart as a ``worker.restart`` event stamped at the
+        failing pack's flush time.
         """
         if self._restarts_left <= 0:
             return False
         self._restarts_left -= 1
-        self.telemetry.record_worker_restart()
-        if self.trace is not None:
-            self.trace.record(EVENT_WORKER_RESTART, batch.flush_time_us,
-                              pack_id=index, worker=worker,
-                              remaining=self._restarts_left)
+        self.trace.record(EVENT_WORKER_RESTART, batch.flush_time_us,
+                          pack_id=index, worker=worker,
+                          remaining=self._restarts_left)
         return True
 
     def take_failed(self) -> List[Tuple[int, DecodeBatch, str]]:
@@ -867,25 +841,13 @@ class WorkerPool:
         retry give-up) in the same stream as the pool's own sheds."""
         with self._lock:
             self._shed_jobs.append(job)
-            self.telemetry.record_shed((job,), stage=stage)
-            if self.trace is not None:
-                self.trace.record(EVENT_JOB_SHED, ts_us, job_id=job.job_id,
-                                  stage=stage)
+            self.trace.record(EVENT_JOB_SHED, ts_us, job_id=job.job_id,
+                              stage=stage)
 
-    def record_retry(self, job: DecodeJob, ts_us: float, attempt: int,
-                     stage: str) -> None:
-        """Record one requeued job (telemetry counter + ``job.retry``
-        trace event) under the pool lock."""
-        with self._lock:
-            self.telemetry.record_retry()
-            if self.trace is not None:
-                self.trace.record(EVENT_JOB_RETRY, ts_us, job_id=job.job_id,
-                                  attempt=attempt, stage=stage)
-
-    def record_brownout(self, transition: str) -> None:
-        """Record a brownout breaker transition under the pool lock."""
-        with self._lock:
-            self.telemetry.record_brownout(transition)
+    @property
+    def telemetry(self) -> TelemetryRecorder:
+        """Read-only view of the telemetry folded from :attr:`trace`."""
+        return self.trace.fold
 
     # ------------------------------------------------------------------ #
     # Results
@@ -988,9 +950,7 @@ class WorkerPool:
                         self._record_failed_locked(batch, index,
                                                    "worker_error")
                     else:
-                        self._decoded[index] = None
-                        self._credit_ready_locked()
-                        self._record_shed_locked(batch, index, "worker_error")
+                        self._shed_slot_locked(batch, index, "worker_error")
                 continue
             try:
                 self._decode(decoder, batch, index)
@@ -1008,9 +968,7 @@ class WorkerPool:
                             FAULT_CRASH if crash else FAULT_DECODE_ERROR)
                     else:
                         self._errors.append(error)  # surfaced by close()
-                        self._decoded[index] = None
-                        self._credit_ready_locked()
-                        self._record_shed_locked(batch, index, "worker_error")
+                        self._shed_slot_locked(batch, index, "worker_error")
                     if crash or not injected:
                         # The worker is dead.  Within budget, supervision
                         # respawns it on the same shard; past it, this loop
@@ -1078,29 +1036,32 @@ class WorkerPool:
                 for job, outcome in zip(batch.jobs, outcomes)
             ]
             self._results.extend(results)
-            self.telemetry.record_batch(results)
-            if self.trace is not None:
-                job_ids = [job.job_id for job in batch.jobs]
-                self.trace.record(EVENT_PACK_START, start_us, pack_id=index,
-                                  worker=machine, job_ids=job_ids)
-                # The service split every member shares: the pack's one
-                # programming/readout overhead vs its amortised compute.
-                overhead_us = service_us - sum(
-                    outcome.compute_time_us for outcome in outcomes)
-                attrs: Dict[str, Any] = {
-                    "job_ids": job_ids, "service_us": service_us,
-                    "overhead_us": overhead_us,
-                    "anneal_us": service_us - overhead_us,
-                }
-                if self.trace.wall_time and info:
-                    attrs["wall_s"] = info.get("wall_s")
-                self.trace.record(EVENT_PACK_COMPLETE, finish_us,
-                                  pack_id=index, worker=machine, **attrs)
-                for result in results:
-                    self.trace.record(EVENT_JOB_COMPLETE, finish_us,
-                                      job_id=result.job.job_id,
-                                      pack_id=index, worker=machine,
-                                      deadline_met=result.deadline_met)
+            job_ids = [job.job_id for job in batch.jobs]
+            # The service split every member shares: the pack's one
+            # programming/readout overhead vs its amortised compute.
+            overhead_us = service_us - sum(
+                outcome.compute_time_us for outcome in outcomes)
+            attrs: Dict[str, Any] = {
+                "job_ids": job_ids, "service_us": service_us,
+                "overhead_us": overhead_us,
+                "anneal_us": service_us - overhead_us,
+            }
+            if self.trace.wall_time and info:
+                attrs["wall_s"] = info.get("wall_s")
+            # One credited pack, appended (and folded) as one group.
+            events = [
+                TraceEvent(EVENT_PACK_START, float(start_us), pack_id=index,
+                           worker=machine, attrs={"job_ids": job_ids}),
+                TraceEvent(EVENT_PACK_COMPLETE, float(finish_us),
+                           pack_id=index, worker=machine, attrs=attrs)]
+            events.extend(
+                TraceEvent(EVENT_JOB_COMPLETE, float(finish_us),
+                           job_id=result.job.job_id, pack_id=index,
+                           worker=machine,
+                           attrs={"deadline_met": result.deadline_met,
+                                  "arrival_us": result.job.arrival_time_us})
+                for result in results)
+            self.trace.extend(events)
 
     def __repr__(self) -> str:
         mode = ("inline" if not self.num_workers

@@ -43,6 +43,7 @@ from repro.cran.tracing import (
     EVENT_JOB_SHED,
     EVENT_PACK_FAILED,
     EVENT_WORKER_RESTART,
+    job_timelines,
 )
 from repro.decoder.quamax import QuAMaxDecoder
 from repro.exceptions import SchedulingError, WorkerPoolError
@@ -272,6 +273,31 @@ class TestInlineChaos:
         assert report.jobs_completed == 0
         stages = report.telemetry["faults"]["shed_stages"]
         assert stages.get("retry_deadline") == len(tight)
+
+
+class TestRetriedJobTimelines:
+    def test_trace_latency_counts_from_the_retry_arrival(self):
+        # A retried job's latency is accounted from its re-stamped arrival;
+        # the trace must count from the same stamp, not the first admit.
+        link = MimoUplink(num_users=2, constellation="BPSK")
+        rng = np.random.default_rng(0)
+        load = [DecodeJob(job_id=i, user_id=0, frame=0, subcarrier=i,
+                          channel_use=link.transmit(random_state=rng),
+                          arrival_time_us=100.0 * i, seed=100 + i)
+                for i in range(40)]
+        report = CranService(
+            make_decoder(), max_batch=4, max_wait_us=500.0, tracing=True,
+            fault_plan=FaultPlan(seed=3, decode_error_rate=0.4),
+            max_retries=3).run(load)
+        timelines = job_timelines(report.trace)
+        retried = {e.job_id for e in report.trace if e.name == EVENT_JOB_RETRY}
+        assert retried & {r.job.job_id for r in report.results}
+        for result in report.results:
+            timeline = timelines[result.job.job_id]
+            assert timeline.admit_us <= result.job.arrival_time_us
+            assert timeline.latency_us == result.latency_us
+            assert sum(timeline.stages_us().values()) == pytest.approx(
+                result.latency_us, abs=1e-6)
 
 
 # --------------------------------------------------------------------------- #

@@ -13,6 +13,15 @@ from repro.cran.jobs import DecodeJob
 from repro.cran.scheduler import DecodeBatch
 from repro.cran.service import CranService
 from repro.cran.telemetry import TelemetryRecorder
+from repro.cran.tracing import (
+    EVENT_JOB_COMPLETE,
+    EVENT_PACK_COMPLETE,
+    EVENT_PACK_FLUSH,
+    EVENT_PACK_START,
+    EVENT_QUEUE_DEPTH,
+    TraceEvent,
+    TraceRecorder,
+)
 from repro.cran.traffic import PoissonTrafficGenerator
 from repro.cran.workers import WorkerPool
 from repro.decoder.quamax import QuAMaxDecoder
@@ -43,6 +52,33 @@ def make_batch(jobs, flush_time_us, reason="full"):
     return DecodeBatch(jobs=tuple(jobs),
                        structure_key=jobs[0].structure_key,
                        flush_time_us=flush_time_us, reason=reason)
+
+
+def folding_pool(decoder, telemetry):
+    """An inline pool whose event stream folds into *telemetry*."""
+    return WorkerPool(decoder, trace=TraceRecorder(keep=False,
+                                                   fold=telemetry))
+
+
+def queue_depth(ts_us, depth):
+    return TraceEvent(EVENT_QUEUE_DEPTH, ts_us, attrs={"depth": depth})
+
+
+def observe_pack(telemetry, structure, service_us, size, pack_id=0):
+    """Fold one credited pack of *size* jobs that took *service_us*."""
+    job_ids = list(range(size))
+    telemetry.record_batch([
+        TraceEvent(EVENT_PACK_FLUSH, 0.0, pack_id=pack_id,
+                   attrs={"reason": "full", "size": size,
+                          "structure": structure, "job_ids": job_ids}),
+        TraceEvent(EVENT_PACK_START, 0.0, pack_id=pack_id,
+                   attrs={"job_ids": job_ids}),
+        TraceEvent(EVENT_PACK_COMPLETE, service_us, pack_id=pack_id,
+                   attrs={"job_ids": job_ids}),
+    ] + [TraceEvent(EVENT_JOB_COMPLETE, service_us, job_id=job_id,
+                    pack_id=pack_id,
+                    attrs={"deadline_met": True, "arrival_us": 0.0})
+         for job_id in job_ids])
 
 
 class TestWorkerPool:
@@ -240,7 +276,7 @@ class TestWorkerPool:
 class TestTelemetryRecorder:
     def test_batch_fill_and_latency(self, decoder, job_pool):
         telemetry = TelemetryRecorder()
-        pool = WorkerPool(decoder, telemetry=telemetry)
+        pool = folding_pool(decoder, telemetry)
         pool.submit(make_batch(job_pool[:3], flush_time_us=100.0))
         pool.submit(make_batch(job_pool[3:4], flush_time_us=200.0))
         assert telemetry.jobs_completed == 4
@@ -257,7 +293,7 @@ class TestTelemetryRecorder:
 
     def test_rolling_window_bounds_percentiles(self, decoder, job_pool):
         telemetry = TelemetryRecorder(window=2)
-        pool = WorkerPool(decoder, telemetry=telemetry)
+        pool = folding_pool(decoder, telemetry)
         pool.submit(make_batch(job_pool[:3], flush_time_us=0.0))
         assert telemetry.jobs_completed == 3
         assert telemetry.latency_summary().count == 2
@@ -269,22 +305,21 @@ class TestTelemetryRecorder:
                         channel_use=link.transmit(random_state=1),
                         arrival_time_us=0.0, deadline_us=10.0, seed=1)
         telemetry = TelemetryRecorder()
-        pool = WorkerPool(decoder, telemetry=telemetry)
+        pool = folding_pool(decoder, telemetry)
         pool.submit(make_batch([job], flush_time_us=0.0))
         assert telemetry.deadline_misses == 1
         assert telemetry.deadline_miss_rate() == 1.0
 
     def test_queue_depth_samples(self):
         telemetry = TelemetryRecorder()
-        telemetry.record_queue_depth(0.0, 3)
-        telemetry.record_queue_depth(1.0, 7)
+        telemetry.record_batch([queue_depth(0.0, 3), queue_depth(1.0, 7)])
         assert telemetry.max_queue_depth() == 7
         assert telemetry.mean_queue_depth() == pytest.approx(5.0)
 
     def test_queue_depth_samples_respect_window(self):
         telemetry = TelemetryRecorder(window=2)
         for step in range(5):
-            telemetry.record_queue_depth(float(step), step)
+            telemetry.record_batch([queue_depth(float(step), step)])
         # Rolling: only the last two samples survive.
         assert telemetry.max_queue_depth() == 4
         assert telemetry.mean_queue_depth() == pytest.approx(3.5)
@@ -306,7 +341,7 @@ class TestDecodeTimeEwma:
 
     def test_estimate_requires_min_samples(self, decoder, job_pool):
         telemetry = TelemetryRecorder(decode_time_min_samples=3)
-        pool = WorkerPool(decoder, telemetry=telemetry)
+        pool = folding_pool(decoder, telemetry)
         key = job_pool[0].structure_key
         pool.submit(make_batch(job_pool[:2], flush_time_us=0.0))
         assert telemetry.decode_time_us(key, 2) is None
@@ -321,7 +356,7 @@ class TestDecodeTimeEwma:
     def test_ewma_tracks_observed_service_and_size(self, decoder, job_pool):
         telemetry = TelemetryRecorder(decode_time_alpha=0.5,
                                       decode_time_min_samples=1)
-        pool = WorkerPool(decoder, telemetry=telemetry)
+        pool = folding_pool(decoder, telemetry)
         key = job_pool[0].structure_key
         pool.submit(make_batch(job_pool[:3], flush_time_us=0.0))
         first = pool.results()[0]
@@ -353,10 +388,8 @@ class TestDecodeTimeEwma:
         # No observations yet: analytic fallback.
         assert model(key, 2) == pytest.approx(1_234.0)
         assert calls == [(key, 2)]
-        # Feed one observation directly through the recorder's EWMA state.
-        telemetry._decode_service_ewma_us[key] = 1_100.0
-        telemetry._decode_size_ewma[key] = 2.0
-        telemetry._decode_time_samples[key] += 1
+        # Fold one observation: a pack of two that took 1100 µs.
+        observe_pack(telemetry, "3x3/QPSK", 1_100.0, 2)
         # (1100 - 100) / 2 = 500 per job; pack of 3 -> 100 + 1500, x1.1.
         assert model(key, 3) == pytest.approx((100.0 + 3 * 500.0) * 1.1)
         assert len(calls) == 1
@@ -369,9 +402,7 @@ class TestDecodeTimeEwma:
         # the analytic fallback.
         telemetry = TelemetryRecorder(decode_time_min_samples=1)
         key = (3, 3, "QPSK")
-        telemetry._decode_service_ewma_us[key] = 1_100.0
-        telemetry._decode_size_ewma[key] = 2.0
-        telemetry._decode_time_samples[key] += 1
+        observe_pack(telemetry, "3x3/QPSK", 1_100.0, 2)
         assert telemetry.decode_time_us(key, 3, overhead_us=5_000.0) is None
         # The online wrapper then uses the fallback, never a flat estimate.
         from repro.cran.service import online_decode_time_model

@@ -18,7 +18,10 @@ through an inline service and checks the contracts everything downstream
   pool's own virtual-time accounting;
 * determinism — an inline traced run is a bit-deterministic function of
   the offered load: replaying yields the identical event stream, and
-  detections are bit-identical with tracing on or off.
+  detections are bit-identical with tracing on or off;
+* one book — the report's telemetry is the fold of its event stream:
+  folding ``report.trace`` into a fresh recorder reproduces it exactly,
+  faults, retries and brownout included.
 
 Shed paths (pool overload) are covered separately with a deterministic
 queue-stuffing setup, since the inline service never sheds.
@@ -37,7 +40,9 @@ from repro.annealer.chimera import ChimeraGraph
 from repro.annealer.machine import AnnealerParameters, QuantumAnnealerSimulator
 from repro.cran.jobs import DecodeJob
 from repro.cran.scheduler import DecodeBatch
+from repro.cran.faults import BrownoutConfig, FaultPlan
 from repro.cran.service import CranService
+from repro.cran.telemetry import TelemetryRecorder
 from repro.cran.tracing import (
     EVENT_JOB_ADMIT,
     EVENT_JOB_COMPLETE,
@@ -185,6 +190,48 @@ class TestLifecycleProperties:
         for a, b in zip(first.results, second.results):
             np.testing.assert_array_equal(a.result.detection.bits,
                                           b.result.detection.bits)
+
+
+@st.composite
+def serving_configs(draw):
+    """Fault plan, retry budget, brownout breaker and telemetry window."""
+    plan = draw(st.one_of(st.none(), st.builds(
+        FaultPlan, seed=st.integers(min_value=0, max_value=50),
+        crash_rate=st.sampled_from([0.0, 0.2]),
+        decode_error_rate=st.sampled_from([0.0, 0.3, 0.6]),
+        slow_rate=st.sampled_from([0.0, 0.2]))))
+    opens = draw(st.integers(min_value=2, max_value=5))
+    brownout = draw(st.one_of(st.none(), st.builds(
+        BrownoutConfig, open_queue_depth=st.just(opens),
+        close_queue_depth=st.integers(min_value=0, max_value=opens - 1))))
+    return {
+        "fault_plan": plan,
+        "max_retries": draw(st.integers(min_value=0, max_value=3)),
+        "brownout": brownout,
+        "telemetry_window": draw(st.one_of(
+            st.none(), st.integers(min_value=1, max_value=5))),
+    }
+
+
+class TestOneBook:
+    @settings(max_examples=15, deadline=None)
+    @given(offered_loads(), serving_configs())
+    def test_telemetry_is_the_fold_of_the_trace(self, decoder, load, config):
+        spec, max_batch, max_wait_us = load
+        report = CranService(decoder, max_batch=max_batch,
+                             max_wait_us=max_wait_us, tracing=True,
+                             **config).run(make_jobs(spec))
+        expected = {key: value for key, value in report.telemetry.items()
+                    if key not in ("workers", "sampler_cache")}
+        window = config["telemetry_window"]
+        whole = TelemetryRecorder(window=window)
+        whole.record_batch(report.trace)
+        assert whole.snapshot() == expected
+        # Any split of the stream folds to the same state.
+        single = TelemetryRecorder(window=window)
+        for event in report.trace:
+            single.record_batch([event])
+        assert single.snapshot() == expected
 
 
 class TestTracingKnob:
